@@ -2,8 +2,9 @@ package repro_test
 
 // Race audit of the facade, run routinely under -race in CI: the
 // simulator keeps all mutable state inside each System (kernel, core,
-// PMU, infrastructure), and the experiment registry and event/model
-// tables are immutable after init. These tests pin that property — the
+// PMU, infrastructure), the experiment registry and event/model tables
+// are immutable after init, and the kernel handler programs systems
+// share are immutable once built. These tests pin that property — the
 // foundation the pooling service (internal/service) builds on. A
 // single System is NOT safe for concurrent use; pools serialize access
 // per system.
@@ -26,7 +27,7 @@ func TestConcurrentDistinctSystems(t *testing.T) {
 		stack string
 	}{
 		{repro.K8, repro.StackPC},
-		{repro.K8, repro.StackPC}, // same configuration twice: no sharing
+		{repro.K8, repro.StackPC}, // same configuration twice: shared handlers only
 		{repro.K8, repro.StackPM},
 		{repro.CD, repro.StackPLpc},
 		{repro.CD, repro.StackPHpm},

@@ -120,14 +120,9 @@ func (r MeasureRequest) Normalized() (MeasureRequest, error) {
 	if r.Bench == "" {
 		r.Bench = "null"
 	}
-	bench, err := ParseBench(r.Bench)
-	if err != nil {
-		return r, badf("%v", err)
+	if r.Bench, err = canonicalBench(r.Bench); err != nil {
+		return r, err
 	}
-	if bench.Iterations > MaxBenchIterations {
-		return r, badf("api: benchmark size %d exceeds limit %d", bench.Iterations, MaxBenchIterations)
-	}
-	r.Bench = canonicalBenchSpec(bench)
 	if r.Pattern == "" {
 		r.Pattern = DefaultPattern
 	}
@@ -452,16 +447,31 @@ func ParseBench(spec string) (*core.Benchmark, error) {
 	return nil, fmt.Errorf("api: unknown benchmark %q (want null, loop:N, array:N, gen:v1:class:seed:scale)", spec)
 }
 
-// canonicalBenchSpec renders a benchmark back to its wire spelling.
-// Only the null benchmark spells bare: a zero-iteration loop/array
-// must keep its ":0" or the canonical form would not re-parse (caught
-// by the api fuzz tests). A generated benchmark's name is already its
-// canonical spec, scale rendered explicitly.
-func canonicalBenchSpec(b *core.Benchmark) string {
-	if b.Name == "null" || strings.HasPrefix(b.Name, "gen:") {
-		return b.Name
+// canonicalBench checks a benchmark spec against the service's limits
+// and returns its wire spelling. A generated benchmark is checked and
+// spelled from its spec alone (scale rendered explicitly); Build
+// generates the program. Only the null benchmark spells bare: a
+// zero-iteration loop/array must keep its ":0" or the canonical form
+// would not re-parse (caught by the api fuzz tests).
+func canonicalBench(spec string) (string, error) {
+	if name, _, _ := strings.Cut(spec, ":"); name == "gen" {
+		c, err := gen.Canonical(spec)
+		if err != nil {
+			return "", badf("api: %v", err)
+		}
+		return c, nil
 	}
-	return fmt.Sprintf("%s:%d", b.Name, b.Iterations)
+	b, err := ParseBench(spec)
+	if err != nil {
+		return "", badf("%v", err)
+	}
+	if b.Iterations > MaxBenchIterations {
+		return "", badf("api: benchmark size %d exceeds limit %d", b.Iterations, MaxBenchIterations)
+	}
+	if b.Name == "null" {
+		return b.Name, nil
+	}
+	return fmt.Sprintf("%s:%d", b.Name, b.Iterations), nil
 }
 
 // ParsePattern parses a two-letter pattern code (ar, ao, rr, ro).

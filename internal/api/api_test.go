@@ -2,8 +2,10 @@ package api
 
 import (
 	"errors"
+	"strings"
 	"testing"
 
+	"repro/internal/campaign/gen"
 	"repro/internal/core"
 )
 
@@ -102,6 +104,35 @@ func TestBuildRoundTrip(t *testing.T) {
 	}
 	if len(creq.Events) != 2 || int(creq.Opt) != 3 {
 		t.Errorf("events/opt = %v/%v", creq.Events, creq.Opt)
+	}
+}
+
+// TestNormalizedGenSpec: a generated benchmark normalizes from its spec
+// alone — scale made explicit, bad specs rejected with the generator's
+// message — and builds into the program the spec names.
+func TestNormalizedGenSpec(t *testing.T) {
+	norm, err := MeasureRequest{Processor: "K8", Stack: "pc", Bench: "gen:v1:chase:0042"}.Normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if norm.Bench != "gen:v1:chase:42:3" {
+		t.Errorf("canonical bench = %q, want gen:v1:chase:42:3", norm.Bench)
+	}
+	creq, err := norm.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := gen.Parse(norm.Bench)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if creq.Bench.Name != norm.Bench || creq.Bench.ExpectedInstr != p.ExpectedInstr() {
+		t.Errorf("built bench %s expecting %d, want %s expecting %d",
+			creq.Bench.Name, creq.Bench.ExpectedInstr, norm.Bench, p.ExpectedInstr())
+	}
+	_, err = MeasureRequest{Processor: "K8", Stack: "pc", Bench: "gen:v1:chase:1:65"}.Normalized()
+	if !errors.Is(err, ErrBadRequest) || !strings.Contains(err.Error(), "api: gen: scale 65 out of range [1,64]") {
+		t.Errorf("out-of-range scale: err = %v", err)
 	}
 }
 

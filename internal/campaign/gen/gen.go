@@ -110,8 +110,8 @@ func New(class Class, seed uint64, scale int) (*Program, error) {
 	if _, err := ClassByName(string(class)); err != nil {
 		return nil, err
 	}
-	if scale < 1 || scale > MaxScale {
-		return nil, fmt.Errorf("gen: scale %d out of range [1,%d]", scale, MaxScale)
+	if err := checkScale(scale); err != nil {
+		return nil, err
 	}
 	r := xrand.New(xrand.Mix(Version, classIndex(class), seed, uint64(scale)))
 	p := &Program{Class: class, Seed: seed, Scale: scale}
@@ -137,37 +137,74 @@ func New(class Class, seed uint64, scale int) (*Program, error) {
 // and generates the program. The scale defaults to DefaultScale, and
 // Spec always renders it explicitly, so Parse(Spec()) round-trips.
 func Parse(spec string) (*Program, error) {
-	parts := strings.Split(spec, ":")
-	if len(parts) != 4 && len(parts) != 5 {
-		return nil, fmt.Errorf("gen: bad spec %q (want gen:v%d:<class>:<seed>[:<scale>])", spec, Version)
-	}
-	if parts[0] != "gen" {
-		return nil, fmt.Errorf("gen: bad spec %q", spec)
-	}
-	if parts[1] != fmt.Sprintf("v%d", Version) {
-		return nil, fmt.Errorf("gen: unsupported generator version %q (this build generates v%d)", parts[1], Version)
-	}
-	class, err := ClassByName(parts[2])
+	class, seed, scale, err := parseSpec(spec)
 	if err != nil {
 		return nil, err
 	}
+	return New(class, seed, scale)
+}
+
+// Canonical checks a program spec as Parse does — version, class, seed
+// and scale — and returns its canonical spelling, Parse(spec).Spec(),
+// without generating the program.
+func Canonical(spec string) (string, error) {
+	class, seed, scale, err := parseSpec(spec)
+	if err != nil {
+		return "", err
+	}
+	return formatSpec(class, seed, scale), nil
+}
+
+// parseSpec splits a program spec into the program's identity and
+// checks each part.
+func parseSpec(spec string) (Class, uint64, int, error) {
+	parts := strings.Split(spec, ":")
+	if len(parts) != 4 && len(parts) != 5 {
+		return "", 0, 0, fmt.Errorf("gen: bad spec %q (want gen:v%d:<class>:<seed>[:<scale>])", spec, Version)
+	}
+	if parts[0] != "gen" {
+		return "", 0, 0, fmt.Errorf("gen: bad spec %q", spec)
+	}
+	if parts[1] != fmt.Sprintf("v%d", Version) {
+		return "", 0, 0, fmt.Errorf("gen: unsupported generator version %q (this build generates v%d)", parts[1], Version)
+	}
+	class, err := ClassByName(parts[2])
+	if err != nil {
+		return "", 0, 0, err
+	}
 	seed, err := strconv.ParseUint(parts[3], 10, 64)
 	if err != nil {
-		return nil, fmt.Errorf("gen: bad seed %q", parts[3])
+		return "", 0, 0, fmt.Errorf("gen: bad seed %q", parts[3])
 	}
 	scale := DefaultScale
 	if len(parts) == 5 {
 		scale, err = strconv.Atoi(parts[4])
 		if err != nil {
-			return nil, fmt.Errorf("gen: bad scale %q", parts[4])
+			return "", 0, 0, fmt.Errorf("gen: bad scale %q", parts[4])
 		}
 	}
-	return New(class, seed, scale)
+	if err := checkScale(scale); err != nil {
+		return "", 0, 0, err
+	}
+	return class, seed, scale, nil
+}
+
+// checkScale reports a scale outside [1, MaxScale].
+func checkScale(scale int) error {
+	if scale < 1 || scale > MaxScale {
+		return fmt.Errorf("gen: scale %d out of range [1,%d]", scale, MaxScale)
+	}
+	return nil
 }
 
 // Spec returns the canonical spec string identifying this program.
 func (p *Program) Spec() string {
-	return fmt.Sprintf("gen:v%d:%s:%d:%d", Version, p.Class, p.Seed, p.Scale)
+	return formatSpec(p.Class, p.Seed, p.Scale)
+}
+
+// formatSpec spells a program identity as its canonical spec.
+func formatSpec(class Class, seed uint64, scale int) string {
+	return fmt.Sprintf("gen:v%d:%s:%d:%d", Version, class, seed, scale)
 }
 
 // Raw returns the program as a standalone executable: body plus Halt at

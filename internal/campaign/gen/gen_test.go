@@ -209,6 +209,28 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCanonicalMatchesParse: Canonical accepts exactly the specs Parse
+// accepts, with Parse's error text, and spells each as the parsed
+// program's Spec.
+func TestCanonicalMatchesParse(t *testing.T) {
+	for _, spec := range []string{
+		"gen:v1:mix:4", "gen:v1:branch:007:05", "gen:v1:probe:18446744073709551615:64",
+		"gen", "x:v1:mix:1", "gen:v2:mix:1:3", "gen:v1:nope:1:3", "gen:v1:mix:x:3",
+		"gen:v1:mix:-1:3", "gen:v1:mix:1:y", "gen:v1:mix:1:0", "gen:v1:mix:1:9999", "gen:v1:mix:1:3:4",
+	} {
+		c, cerr := Canonical(spec)
+		p, perr := Parse(spec)
+		switch {
+		case (cerr == nil) != (perr == nil):
+			t.Errorf("%q: Canonical err %v, Parse err %v", spec, cerr, perr)
+		case cerr != nil && cerr.Error() != perr.Error():
+			t.Errorf("%q: Canonical says %q, Parse says %q", spec, cerr, perr)
+		case cerr == nil && c != p.Spec():
+			t.Errorf("%q: Canonical = %q, Parse(spec).Spec() = %q", spec, c, p.Spec())
+		}
+	}
+}
+
 // TestValidity: a broad seed sweep only ever produces user-mode-valid
 // programs.
 func TestValidity(t *testing.T) {

@@ -10,6 +10,13 @@ import (
 // (Section 3.4). Emit appends the benchmark's instructions to a program
 // under construction; ExpectedInstr is the ground-truth retired
 // instruction count used to compute the measurement error.
+//
+// Name and Iterations identify the body Emit appends: two benchmarks
+// with the same name and iteration count emit the same instructions.
+// The constructors keep this — null, loop and array by name and trip
+// count, a generated program by its canonical spec — and the harness
+// memo (Harnesses) relies on it. A benchmark built another way must
+// keep it too.
 type Benchmark struct {
 	// Name identifies the benchmark ("null", "loop").
 	Name string

@@ -71,8 +71,16 @@ func (m *Measurement) Error(i int, mode MeasureMode) int64 {
 // Measure performs one measurement of req on the infrastructure bound
 // to kernel k. It configures the counters, assembles the harness
 // program (glue + pattern calls + benchmark), runs it, and extracts the
-// per-counter deltas from the capture log.
+// per-counter deltas from the capture log. Its memo lives for this one
+// call; a caller that measures repeatedly keeps a Harnesses memo and
+// calls its Measure instead.
 func Measure(k *kernel.Kernel, infra Infrastructure, req Request) (*Measurement, error) {
+	var h Harnesses
+	return h.Measure(k, infra, req)
+}
+
+// Measure is core.Measure with the harness taken from the memo.
+func (h *Harnesses) Measure(k *kernel.Kernel, infra Infrastructure, req Request) (*Measurement, error) {
 	req = req.withDefaults()
 	if !req.Pattern.SupportedBy(infra) {
 		return nil, &ErrUnsupportedPattern{Pattern: req.Pattern, Infra: infra.Name()}
@@ -86,7 +94,7 @@ func Measure(k *kernel.Kernel, infra Infrastructure, req Request) (*Measurement,
 		return nil, err
 	}
 
-	prog, err := BuildHarness(infra, req)
+	prog, err := h.harness(infra, req)
 	if err != nil {
 		return nil, err
 	}
@@ -100,6 +108,78 @@ func Measure(k *kernel.Kernel, infra Infrastructure, req Request) (*Measurement,
 		return nil, fmt.Errorf("core: harness run failed: %w", err)
 	}
 	return extract(k.Core, infra.NumCounters(), req)
+}
+
+// HarnessMemoSize is the number of harnesses a Harnesses memo holds.
+// A service worker on the small-benchmark mix meets about a dozen
+// shapes, so sixteen hold its steady state; a stream of distinct
+// generated programs reuses a harness only within one request.
+const HarnessMemoSize = 16
+
+// Harnesses is one worker's memo of built harness programs, so that
+// repeated runs of a shape reuse one program: the compiled engine then
+// finds it by pointer, and a warm run builds, validates and hashes no
+// program. It holds HarnessMemoSize harnesses and evicts the least
+// recently used. The zero value is ready to use.
+//
+// A memo is not safe for concurrent use: a worker owns its memo as it
+// owns its kernel.
+type Harnesses struct {
+	slots [HarnessMemoSize]harnessSlot
+	clock uint64
+}
+
+// harnessKey is every input BuildHarness reads: the infrastructure (by
+// identity), its counter count, the pattern, the opt level, and the
+// benchmark, identified by name and size (see Benchmark).
+type harnessKey struct {
+	infra    Infrastructure
+	counters int
+	pattern  Pattern
+	opt      compiler.OptLevel
+	bench    string
+	iters    int64
+}
+
+type harnessSlot struct {
+	key  harnessKey
+	prog *isa.Program
+	used uint64
+}
+
+// Len returns the number of harnesses the memo holds.
+func (h *Harnesses) Len() int {
+	n := 0
+	for i := range h.slots {
+		if h.slots[i].prog != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// harness returns the harness for req on infra, whose counters Setup
+// has configured, building it on a miss.
+func (h *Harnesses) harness(infra Infrastructure, req Request) (*isa.Program, error) {
+	key := harnessKey{infra, infra.NumCounters(), req.Pattern, req.Opt, req.Bench.Name, req.Bench.Iterations}
+	h.clock++
+	victim := &h.slots[0]
+	for i := range h.slots {
+		s := &h.slots[i]
+		if s.prog != nil && s.key == key {
+			s.used = h.clock
+			return s.prog, nil
+		}
+		if s.used < victim.used {
+			victim = s
+		}
+	}
+	prog, err := BuildHarness(infra, req)
+	if err != nil {
+		return nil, err
+	}
+	*victim = harnessSlot{key: key, prog: prog, used: h.clock}
+	return prog, nil
 }
 
 // BuildHarness assembles the complete measurement program: compiled
@@ -180,12 +260,19 @@ func extract(c *cpu.Core, n int, req Request) (*Measurement, error) {
 
 // MeasureN runs the same request n times with seeds seedBase..seedBase+n-1
 // and returns the per-run error of counter 0 — the repeated-measurement
-// shape used throughout the paper's box plots.
+// shape used throughout the paper's box plots. The n runs share one
+// harness, built by a memo that lives for this call.
 func MeasureN(k *kernel.Kernel, infra Infrastructure, req Request, n int, seedBase uint64) ([]int64, error) {
+	var h Harnesses
+	return h.MeasureN(k, infra, req, n, seedBase)
+}
+
+// MeasureN is core.MeasureN with the harnesses taken from the memo.
+func (h *Harnesses) MeasureN(k *kernel.Kernel, infra Infrastructure, req Request, n int, seedBase uint64) ([]int64, error) {
 	errs := make([]int64, 0, n)
 	for i := 0; i < n; i++ {
 		req.Seed = seedBase + uint64(i)
-		m, err := Measure(k, infra, req)
+		m, err := h.Measure(k, infra, req)
 		if err != nil {
 			return nil, err
 		}

@@ -98,6 +98,7 @@ func Sweep(cfg SweepConfig) ([]SweepRecord, error) {
 		return nil, fmt.Errorf("core: sweep needs at least one system")
 	}
 	var out []SweepRecord
+	var harnesses Harnesses
 	for si, sys := range cfg.Systems {
 		model := sys.Kernel.Model()
 		for _, pat := range cfg.Patterns {
@@ -116,7 +117,7 @@ func Sweep(cfg SweepConfig) ([]SweepRecord, error) {
 						}
 						seed := xrand.Mix(cfg.Seed, uint64(si), uint64(pat), uint64(opt), uint64(regs), uint64(mode))
 						for run := 0; run < cfg.Runs; run++ {
-							m, err := Measure(sys.Kernel, sys.Infra, Request{
+							m, err := harnesses.Measure(sys.Kernel, sys.Infra, Request{
 								Bench:   cfg.Bench(),
 								Pattern: pat,
 								Mode:    mode,

@@ -43,18 +43,25 @@ type cacheEntry struct {
 	ptrs     []ptrKey
 }
 
-// ptrKey is the pointer-identity fast-path key: long-lived programs
-// (the kernel tick handler, registered syscall handlers) keep a stable
-// pointer across runs, so repeat lookups skip hashing entirely.
+// ptrKey is the pointer-identity fast-path key: the programs a warm run
+// executes keep a stable pointer across runs, so repeat lookups skip
+// hashing entirely. The kernel tick handler and the perfctr and perfmon
+// syscall handlers are built once per process and shared by every
+// kernel (kernel.Shared); a harness is built once per worker and shape
+// (core.Harnesses).
 type ptrKey struct {
 	p     *isa.Program
 	model string
 }
 
 // maxPtrAliases bounds how many distinct pointers one entry may index.
-// Programs rebuilt per request produce a fresh pointer each time with
-// identical content; without a bound their aliases would accumulate
-// forever. Churning programs past the bound simply pay the hash.
+// Each worker of a shard holds its own copy of a harness, so one entry
+// is reached through as many pointers as the shard has workers (four by
+// default in pcserved), and every rebuild of a harness its memo evicted
+// brings one more pointer with identical content. Without a bound these
+// aliases would accumulate forever. Pointers past the bound simply pay
+// the hash, so a shard with more workers than this has its extra
+// workers hash their harnesses on every run.
 const maxPtrAliases = 4
 
 // Cache is a bounded LRU cache of compiled programs, safe for

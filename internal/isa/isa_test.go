@@ -199,6 +199,39 @@ func TestBuilderPos(t *testing.T) {
 	}
 }
 
+// TestALUBlockGrowsOnce: a block's cost in allocations does not depend
+// on its length, and the block holds exactly n default ALU instructions
+// after whatever was already emitted.
+func TestALUBlockGrowsOnce(t *testing.T) {
+	allocs := func(n int) float64 {
+		return testing.AllocsPerRun(20, func() { NewBuilder("a", 0).ALUBlock(n) })
+	}
+	if small, large := allocs(10), allocs(10_000); small != large {
+		t.Errorf("ALUBlock allocations: %v for 10 instructions, %v for 10,000", small, large)
+	}
+	p := NewBuilder("a", 0).Emit(Nop()).ALUBlock(5).ALUBlock(0).Emit(Halt()).Build()
+	if p.Len() != 7 || p.Code[0].Op != OpNop || p.Code[6].Op != OpHalt {
+		t.Fatalf("code = %v", p.Code)
+	}
+	for _, in := range p.Code[1:6] {
+		if in != ALU() {
+			t.Errorf("block instruction %+v, want %+v", in, ALU())
+		}
+	}
+}
+
+// TestBuildFillsAddresses: a built program's address table is complete
+// at Build, so reading addresses never writes to a shared program.
+func TestBuildFillsAddresses(t *testing.T) {
+	p := NewBuilder("a", 0x1000).ALUBlock(3).Emit(Halt()).Build()
+	if len(p.addrs) != p.Len() {
+		t.Fatalf("Build left %d of %d addresses", len(p.addrs), p.Len())
+	}
+	if p.addrs[2] != 0x1000+2*DefaultSize {
+		t.Errorf("addrs = %#x", p.addrs)
+	}
+}
+
 func TestRetires(t *testing.T) {
 	if Loop(5, 1).Retires() != 0 {
 		t.Error("loop header should not retire")

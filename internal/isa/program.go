@@ -3,6 +3,7 @@ package isa
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Program is a flat instruction sequence loaded at a base byte address.
@@ -17,7 +18,10 @@ type Program struct {
 	// Code is the instruction sequence.
 	Code []Instr
 
-	addrs []uint64 // lazily computed instruction addresses
+	// addrs holds the instruction addresses. Build fills it, so a built
+	// program is never written again and may be shared between
+	// goroutines; a program assembled as a literal fills it on first use.
+	addrs []uint64
 }
 
 // ErrNoHalt is reported by Validate for programs that can run off the end.
@@ -143,10 +147,17 @@ func (b *Builder) Emit(ins ...Instr) *Builder {
 }
 
 // ALUBlock appends n generic retiring instructions. It is the workhorse
-// for modeling library and kernel path lengths.
+// for modeling library and kernel path lengths. Code grows at most once
+// per call, however large n is.
 func (b *Builder) ALUBlock(n int) *Builder {
-	for i := 0; i < n; i++ {
-		b.p.Code = append(b.p.Code, ALU())
+	if n <= 0 {
+		return b
+	}
+	at := len(b.p.Code)
+	b.p.Code = slices.Grow(b.p.Code, n)[:at+n]
+	alu := ALU()
+	for i := at; i < len(b.p.Code); i++ {
+		b.p.Code[i] = alu
 	}
 	return b
 }
@@ -164,8 +175,9 @@ func (b *Builder) Loop(iters int64, body func(*Builder)) *Builder {
 // Pos returns the index the next emitted instruction will have.
 func (b *Builder) Pos() int { return len(b.p.Code) }
 
-// Build finalizes and returns the program.
+// Build finalizes and returns the program, its address table filled.
 func (b *Builder) Build() *Program {
 	p := b.p
+	p.computeAddrs()
 	return &p
 }

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -136,7 +137,7 @@ func New(model *cpu.Model) *Kernel {
 		threads:  map[int]bool{1: true},
 		current:  1,
 	}
-	k.rebuildTickHandler()
+	k.installTickHandler()
 	k.Core.OnTick = k.fireTick
 	return k
 }
@@ -210,12 +211,18 @@ func (k *Kernel) RegisterSyscall(nr int, owner string, handler *isa.Program) err
 }
 
 // UpdateSyscall installs or replaces the handler at nr. Replacement is
-// allowed only for the owning extension; extensions regenerate their
-// handlers when a measurement context is reconfigured (the handler code
-// paths depend on how many counters are in use).
+// allowed only for the owning extension; extensions swap handlers when a
+// measurement context is reconfigured (the handler code paths depend on
+// how many counters are in use). A handler is validated when it is
+// installed; the owner reinstalling the program already at nr is a
+// no-op.
 func (k *Kernel) UpdateSyscall(nr int, owner string, handler *isa.Program) error {
-	if prev, ok := k.syscalls[nr]; ok && prev != owner {
+	prev, ok := k.syscalls[nr]
+	if ok && prev != owner {
 		return fmt.Errorf("%w: %d (owner %s)", ErrSyscallTaken, nr, prev)
+	}
+	if ok && k.Core.Syscalls[nr] == handler {
+		return nil
 	}
 	if err := handler.Validate(false); err != nil {
 		return fmt.Errorf("kernel: invalid handler for syscall %d: %v", nr, err)
@@ -241,7 +248,7 @@ func (k *Kernel) RegisteredSyscalls() []int {
 func (k *Kernel) InstallTickWork(instr int, skewBias float64) {
 	k.tickExtra = instr
 	k.tickBias = skewBias
-	k.rebuildTickHandler()
+	k.installTickHandler()
 }
 
 // AddSwitchHook registers per-thread counter save/restore callbacks.
@@ -249,15 +256,63 @@ func (k *Kernel) AddSwitchHook(h SwitchHook) {
 	k.hooks = append(k.hooks, h)
 }
 
-// rebuildTickHandler regenerates the timer interrupt handler program.
-func (k *Kernel) rebuildTickHandler() {
-	b := isa.NewBuilder("tick", 0xffff_8000_0000)
-	b.ALUBlock(baseTickCost[k.model.Tag] + k.tickExtra)
-	b.Emit(isa.VarWork(tickJitter, 1))
-	b.Emit(isa.IRet())
-	k.Core.InstallTimer(HZ, b.Build())
+// tickHandlers shares timer interrupt handlers between kernels. A
+// handler's one input is its straight-line instruction count.
+var tickHandlers Shared[int, *isa.Program]
+
+// installTickHandler installs the timer interrupt handler program for
+// the current tick work.
+func (k *Kernel) installTickHandler() {
+	n := baseTickCost[k.model.Tag] + k.tickExtra
+	k.Core.InstallTimer(HZ, tickHandlers.Get(n, func() *isa.Program {
+		b := isa.NewBuilder("tick", 0xffff_8000_0000)
+		b.ALUBlock(n)
+		b.Emit(isa.VarWork(tickJitter, 1))
+		b.Emit(isa.IRet())
+		return b.Build()
+	}))
 	k.Core.Timer.SkewBias = k.tickBias
 	k.applyFrequency()
+}
+
+// Shared builds kernel programs once per process and hands every kernel
+// the same ones. It is for handlers whose content is a pure function of
+// a small key: the tick handler of an instruction count, an extension's
+// syscall handlers for a processor and counter count. Sharing gives each
+// handler one stable pointer, which the compiled engine's cache
+// recognizes without hashing, and no Setup or run rebuilds it.
+//
+// The key must cover every input the build reads, and the key space
+// must be small: entries are never evicted. Shared values are never
+// modified; isa.Builder.Build fills a program's address table, so
+// executing a built program does not write to it. The zero value is
+// ready to use and safe for concurrent use.
+type Shared[K comparable, V any] struct {
+	mu sync.Mutex
+	m  map[K]V
+}
+
+// Get returns the value for key, calling build on first use. Two
+// goroutines missing at once may both build; the first to finish wins
+// and both return its value.
+func (s *Shared[K, V]) Get(key K, build func() V) V {
+	s.mu.Lock()
+	v, ok := s.m[key]
+	s.mu.Unlock()
+	if ok {
+		return v
+	}
+	v = build()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if won, ok := s.m[key]; ok {
+		return won
+	}
+	if s.m == nil {
+		s.m = make(map[K]V)
+	}
+	s.m[key] = v
+	return v
 }
 
 // SetGovernor selects the frequency policy. Performance and powersave

@@ -2,6 +2,7 @@ package kernel
 
 import (
 	"errors"
+	"sync"
 	"testing"
 
 	"repro/internal/cpu"
@@ -229,6 +230,69 @@ func TestProcessStartupCost(t *testing.T) {
 		k := New(m)
 		if k.ProcessStartupCost() < 1_000_000 {
 			t.Errorf("%s: startup cost %d implausibly small", m.Tag, k.ProcessStartupCost())
+		}
+	}
+}
+
+// TestUpdateSyscallReinstall: the owner reinstalling the handler already
+// at a number succeeds, another owner cannot take the number, and a
+// replacement handler is validated.
+func TestUpdateSyscallReinstall(t *testing.T) {
+	k := New(cpu.Athlon64X2)
+	h := isa.NewBuilder("sys_a", 0xffff0000).ALUBlock(5).Emit(isa.SysRet()).Build()
+	for i := 0; i < 2; i++ {
+		if err := k.UpdateSyscall(100, "perfctr", h); err != nil {
+			t.Fatalf("install %d: %v", i, err)
+		}
+	}
+	if err := k.UpdateSyscall(100, "perfmon", h); !errors.Is(err, ErrSyscallTaken) {
+		t.Errorf("other owner err = %v, want ErrSyscallTaken", err)
+	}
+	bad := isa.NewBuilder("bad", 0).ALUBlock(2).Build() // no terminator
+	if err := k.UpdateSyscall(100, "perfctr", bad); err == nil {
+		t.Error("invalid replacement accepted")
+	}
+	if k.Core.Syscalls[100] != h {
+		t.Error("a rejected replacement displaced the installed handler")
+	}
+}
+
+// TestTickHandlerShared: kernels with the same tick work share one tick
+// handler program; different work gets its own.
+func TestTickHandlerShared(t *testing.T) {
+	a, b := New(cpu.Core2Duo), New(cpu.Core2Duo)
+	if a.Core.Timer.Handler != b.Core.Timer.Handler {
+		t.Error("kernels on one processor hold different tick handlers")
+	}
+	a.InstallTickWork(300, 0)
+	if a.Core.Timer.Handler == b.Core.Timer.Handler {
+		t.Error("extra tick work reuses the bare tick handler")
+	}
+	b.InstallTickWork(300, 0.5)
+	if a.Core.Timer.Handler != b.Core.Timer.Handler {
+		t.Error("kernels with the same tick work hold different tick handlers")
+	}
+}
+
+// TestSharedConcurrentGet: goroutines that miss one key at once all
+// return the same program.
+func TestSharedConcurrentGet(t *testing.T) {
+	var s Shared[int, *isa.Program]
+	got := make([]*isa.Program, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = s.Get(7, func() *isa.Program {
+				return isa.NewBuilder("h", 0).ALUBlock(7).Emit(isa.SysRet()).Build()
+			})
+		}()
+	}
+	wg.Wait()
+	for i, p := range got {
+		if p != got[0] {
+			t.Fatalf("goroutine %d got a different program than goroutine 0", i)
 		}
 	}
 }

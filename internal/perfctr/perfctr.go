@@ -83,16 +83,7 @@ func (p *Perfctr) Backend() string { return "pc" }
 // NumCounters returns the configured counter count.
 func (p *Perfctr) NumCounters() int { return len(p.specs) }
 
-// kscale scales a Core 2 Duo kernel path length to this processor.
-func (p *Perfctr) kscale(n int) int {
-	v := int(float64(n)*p.k.Model().KernelCost + 0.5)
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
-
-// Setup programs the requested counters and regenerates the kernel
+// Setup programs the requested counters and installs the kernel
 // handlers for the new selection. Counters are left disabled at zero;
 // the per-thread virtual state is rebuilt.
 func (p *Perfctr) Setup(specs []core.CounterSpec) error {
@@ -107,7 +98,7 @@ func (p *Perfctr) Setup(specs []core.CounterSpec) error {
 		}
 	}
 	p.specs = append(p.specs[:0], specs...)
-	p.mask = (uint64(1) << uint(len(specs))) - 1
+	p.mask = maskFor(len(specs))
 	pmu.Disable(p.mask)
 	pmu.Reset(p.mask)
 
@@ -121,40 +112,64 @@ func (p *Perfctr) Setup(specs []core.CounterSpec) error {
 	return p.installHandlers(len(specs))
 }
 
-// installHandlers (re)builds the kernel-side syscall handlers for a
+// handlers shares the syscall handler sets of every perfctr context in
+// the process, one set per handlerKey.
+var handlers kernel.Shared[handlerKey, [5]*isa.Program]
+
+// installHandlers installs the kernel-side syscall handlers for a
 // selection of n counters.
 func (p *Perfctr) installHandlers(n int) error {
-	type handler struct {
-		nr   int
-		prog *isa.Program
-	}
-	handlers := []handler{
-		{sysControl, p.buildControl(n, true)},
-		{sysStart, p.buildControl(n, false)},
-		{sysStop, p.buildStop()},
-		{sysReadA, p.buildSlowRead(n, core.PhaseC0)},
-		{sysReadB, p.buildSlowRead(n, core.PhaseC1)},
-	}
-	for _, h := range handlers {
-		if err := p.k.UpdateSyscall(h.nr, extName, h.prog); err != nil {
+	key := handlerKey{kernelCost: p.k.Model().KernelCost, n: n}
+	progs := handlers.Get(key, key.build)
+	for i, nr := range [...]int{sysControl, sysStart, sysStop, sysReadA, sysReadB} {
+		if err := p.k.UpdateSyscall(nr, extName, progs[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// handlerKey is every input the handler builders read: the processor's
+// kernel path-length factor and the counter count. The builders are its
+// methods, so they can read nothing the key leaves out.
+type handlerKey struct {
+	kernelCost float64
+	n          int
+}
+
+// build returns the handlers in syscall order: control, start, stop,
+// and the two slow reads.
+func (h handlerKey) build() [5]*isa.Program {
+	return [5]*isa.Program{
+		h.buildControl(true),
+		h.buildControl(false),
+		h.buildStop(),
+		h.buildSlowRead(core.PhaseC0),
+		h.buildSlowRead(core.PhaseC1),
+	}
+}
+
+// kscale scales a Core 2 Duo kernel path length to this processor.
+func (h handlerKey) kscale(n int) int {
+	v := int(float64(n)*h.kernelCost + 0.5)
+	if v < 1 {
+		v = 1
+	}
+	return v
+}
+
 // buildControl models the vperfctr control handler: per-counter
 // programming, optional reset, enable, and the exit path. Only the
 // instructions after the enabling WRMSR land inside an ar/ao window.
-func (p *Perfctr) buildControl(n int, reset bool) *isa.Program {
+func (h handlerKey) buildControl(reset bool) *isa.Program {
 	b := isa.NewBuilder("perfctr_sys_control", 0xffff_a000_0000)
-	b.ALUBlock(p.kscale(ctlKernelPre + ctlKernelPerCtr*n))
+	b.ALUBlock(h.kscale(ctlKernelPre + ctlKernelPerCtr*h.n))
 	b.Emit(isa.VarWork(kernelJitterMax, 10))
 	if reset {
-		b.Emit(isa.WRMSR(isa.MSRReset, p.maskFor(n)))
+		b.Emit(isa.WRMSR(isa.MSRReset, maskFor(h.n)))
 	}
-	b.Emit(isa.WRMSR(isa.MSREnable, p.maskFor(n)))
-	b.ALUBlock(p.kscale(ctlKernelPost + ctlPostPerCtr*maxInt(n-1, 0)))
+	b.Emit(isa.WRMSR(isa.MSREnable, maskFor(h.n)))
+	b.ALUBlock(h.kscale(ctlKernelPost + ctlPostPerCtr*maxInt(h.n-1, 0)))
 	b.Emit(isa.VarWork(kernelJitterMax, 11))
 	b.Emit(isa.SysRet())
 	return b.Build()
@@ -162,11 +177,11 @@ func (p *Perfctr) buildControl(n int, reset bool) *isa.Program {
 
 // buildStop models vperfctr suspend: a short entry, the disable, and a
 // longer bookkeeping tail that is already outside the window.
-func (p *Perfctr) buildStop() *isa.Program {
+func (h handlerKey) buildStop() *isa.Program {
 	b := isa.NewBuilder("perfctr_sys_stop", 0xffff_a100_0000)
-	b.ALUBlock(p.kscale(stopKernelPre))
-	b.Emit(isa.WRMSR(isa.MSRDisable, p.mask))
-	b.ALUBlock(p.kscale(stopKernelPost))
+	b.ALUBlock(h.kscale(stopKernelPre))
+	b.Emit(isa.WRMSR(isa.MSRDisable, maskFor(h.n)))
+	b.ALUBlock(h.kscale(stopKernelPost))
 	b.Emit(isa.VarWork(kernelJitterMax, 12))
 	b.Emit(isa.SysRet())
 	return b.Build()
@@ -174,24 +189,24 @@ func (p *Perfctr) buildStop() *isa.Program {
 
 // buildSlowRead models the syscall read used when the TSC is off: the
 // kernel walks the counter state and captures each counter in turn.
-func (p *Perfctr) buildSlowRead(n int, phase core.Phase) *isa.Program {
+func (h handlerKey) buildSlowRead(phase core.Phase) *isa.Program {
 	b := isa.NewBuilder(fmt.Sprintf("perfctr_sys_read_%d", phase), 0xffff_a200_0000)
-	b.ALUBlock(p.kscale(slowReadKernelPre))
+	b.ALUBlock(h.kscale(slowReadKernelPre))
 	b.Emit(isa.VarWork(kernelJitterMax, 13))
-	for i := 0; i < n; i++ {
+	for i := 0; i < h.n; i++ {
 		if i > 0 {
-			b.ALUBlock(p.kscale(slowReadPerCtr))
+			b.ALUBlock(h.kscale(slowReadPerCtr))
 		}
-		b.Emit(isa.RDPMC(i, phase.SlotFor(i, n)))
+		b.Emit(isa.RDPMC(i, phase.SlotFor(i, h.n)))
 	}
-	b.ALUBlock(p.kscale(slowReadKernelPost))
+	b.ALUBlock(h.kscale(slowReadKernelPost))
 	b.Emit(isa.VarWork(kernelJitterMax, 14))
 	b.Emit(isa.SysRet())
 	return b.Build()
 }
 
 // maskFor returns the enable mask for n counters.
-func (p *Perfctr) maskFor(n int) uint64 {
+func maskFor(n int) uint64 {
 	if n <= 0 {
 		return 0
 	}

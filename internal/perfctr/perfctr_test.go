@@ -228,3 +228,53 @@ func TestPerArchFastReadCosts(t *testing.T) {
 		t.Error("fast read cost ordering violated")
 	}
 }
+
+// TestHandlersSharedPerCounterCount: contexts on one processor install
+// the same handler programs for a counter count, a context returning to
+// an earlier count reinstalls the programs it had, and the stop
+// handler's disable mask follows the count.
+func TestHandlersSharedPerCounterCount(t *testing.T) {
+	k1, p1 := newCtx(t, cpu.PentiumD, true)
+	k2, p2 := newCtx(t, cpu.PentiumD, false)
+	nrs := []int{sysControl, sysStart, sysStop, sysReadA, sysReadB}
+	setup := func(p *Perfctr, n int) {
+		t.Helper()
+		specs := make([]core.CounterSpec, n)
+		for i := range specs {
+			specs[i] = core.CounterSpec{Event: cpu.EventInstrRetired, User: true}
+		}
+		if err := p.Setup(specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setup(p1, 1)
+	setup(p2, 1)
+	one := make(map[int]*isa.Program)
+	for _, nr := range nrs {
+		one[nr] = k1.Core.Syscalls[nr]
+		if k2.Core.Syscalls[nr] != one[nr] {
+			t.Errorf("syscall %d: contexts on one processor hold different handlers", nr)
+		}
+	}
+	setup(p1, 2)
+	stop := k1.Core.Syscalls[sysStop]
+	if stop == one[sysStop] {
+		t.Fatal("two counters reuse the one-counter stop handler")
+	}
+	for _, in := range stop.Code {
+		if in.Op == isa.OpWRMSR && uint64(in.B) != 0b11 {
+			t.Errorf("two-counter stop handler disables mask %#b, want 0b11", in.B)
+		}
+	}
+	setup(p1, 1)
+	for _, nr := range nrs {
+		if k1.Core.Syscalls[nr] != one[nr] {
+			t.Errorf("syscall %d: returning to one counter installed a new handler", nr)
+		}
+	}
+	k3, p3 := newCtx(t, cpu.Athlon64X2, true)
+	setup(p3, 1)
+	if k3.Core.Syscalls[sysControl] == one[sysControl] {
+		t.Error("processors with different kernel costs share a handler")
+	}
+}

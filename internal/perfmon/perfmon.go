@@ -76,17 +76,8 @@ func (p *Perfmon) Backend() string { return "pm" }
 // NumCounters returns the configured counter count.
 func (p *Perfmon) NumCounters() int { return len(p.specs) }
 
-// kscale scales a Core 2 Duo kernel path length to this processor.
-func (p *Perfmon) kscale(n int) int {
-	v := int(float64(n)*p.k.Model().KernelCost + 0.5)
-	if v < 1 {
-		v = 1
-	}
-	return v
-}
-
 // Setup programs the requested counters through the libpfm event tables
-// and regenerates the kernel handlers. It validates the events against
+// and installs the kernel handlers for the selection. It validates the events against
 // the processor's native event set, as pfm_find_event does.
 func (p *Perfmon) Setup(specs []core.CounterSpec) error {
 	m := p.k.Model()
@@ -105,7 +96,7 @@ func (p *Perfmon) Setup(specs []core.CounterSpec) error {
 		}
 	}
 	p.specs = append(p.specs[:0], specs...)
-	p.mask = (uint64(1) << uint(len(specs))) - 1
+	p.mask = maskFor(len(specs))
 	pmu.Disable(p.mask)
 	pmu.Reset(p.mask)
 
@@ -119,34 +110,58 @@ func (p *Perfmon) Setup(specs []core.CounterSpec) error {
 	return p.installHandlers(len(specs))
 }
 
-// installHandlers (re)builds the perfmon syscall handlers for n counters.
+// handlers shares the syscall handler sets of every perfmon context in
+// the process, one set per handlerKey.
+var handlers kernel.Shared[handlerKey, [5]*isa.Program]
+
+// installHandlers installs the perfmon syscall handlers for n counters.
 func (p *Perfmon) installHandlers(n int) error {
-	type handler struct {
-		nr   int
-		prog *isa.Program
-	}
-	handlers := []handler{
-		{sysReset, p.buildReset(n)},
-		{sysStart, p.buildStart(n)},
-		{sysStop, p.buildStop()},
-		{sysReadA, p.buildRead(n, core.PhaseC0)},
-		{sysReadB, p.buildRead(n, core.PhaseC1)},
-	}
-	for _, h := range handlers {
-		if err := p.k.UpdateSyscall(h.nr, extName, h.prog); err != nil {
+	key := handlerKey{kernelCost: p.k.Model().KernelCost, n: n}
+	progs := handlers.Get(key, key.build)
+	for i, nr := range [...]int{sysReset, sysStart, sysStop, sysReadA, sysReadB} {
+		if err := p.k.UpdateSyscall(nr, extName, progs[i]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
+// handlerKey is every input the handler builders read: the processor's
+// kernel path-length factor and the counter count. The builders are its
+// methods, so they can read nothing the key leaves out.
+type handlerKey struct {
+	kernelCost float64
+	n          int
+}
+
+// build returns the handlers in syscall order: reset, start, stop, and
+// the two reads.
+func (h handlerKey) build() [5]*isa.Program {
+	return [5]*isa.Program{
+		h.buildReset(),
+		h.buildStart(),
+		h.buildStop(),
+		h.buildRead(core.PhaseC0),
+		h.buildRead(core.PhaseC1),
+	}
+}
+
+// kscale scales a Core 2 Duo kernel path length to this processor.
+func (h handlerKey) kscale(n int) int {
+	v := int(float64(n)*h.kernelCost + 0.5)
+	if v < 1 {
+		v = 1
+	}
+	return v
+}
+
 // buildReset models pfm_write_pmds zeroing the counters. It runs while
 // counting is disabled, so its length is outside every window.
-func (p *Perfmon) buildReset(n int) *isa.Program {
+func (h handlerKey) buildReset() *isa.Program {
 	b := isa.NewBuilder("pfm_sys_reset", 0xffff_b000_0000)
-	b.ALUBlock(p.kscale(resetKernelPre))
-	b.Emit(isa.WRMSR(isa.MSRReset, p.maskFor(n)))
-	b.ALUBlock(p.kscale(resetKernelPost))
+	b.ALUBlock(h.kscale(resetKernelPre))
+	b.Emit(isa.WRMSR(isa.MSRReset, maskFor(h.n)))
+	b.ALUBlock(h.kscale(resetKernelPost))
 	b.Emit(isa.VarWork(kernelJitterMax, 30))
 	b.Emit(isa.SysRet())
 	return b.Build()
@@ -154,24 +169,24 @@ func (p *Perfmon) buildReset(n int) *isa.Program {
 
 // buildStart models pfm_start: programming checks, the enable, then a
 // long context-propagation exit path (inside the ar/ao window).
-func (p *Perfmon) buildStart(n int) *isa.Program {
+func (h handlerKey) buildStart() *isa.Program {
 	b := isa.NewBuilder("pfm_sys_start", 0xffff_b100_0000)
-	b.ALUBlock(p.kscale(startKernelPre + startKernelPerCtr*n))
+	b.ALUBlock(h.kscale(startKernelPre + startKernelPerCtr*h.n))
 	b.Emit(isa.VarWork(kernelJitterMax, 31))
-	b.Emit(isa.WRMSR(isa.MSREnable, p.maskFor(n)))
-	b.ALUBlock(p.kscale(startKernelPost))
+	b.Emit(isa.WRMSR(isa.MSREnable, maskFor(h.n)))
+	b.ALUBlock(h.kscale(startKernelPost))
 	b.Emit(isa.VarWork(kernelJitterMax, 32))
 	b.Emit(isa.SysRet())
 	return b.Build()
 }
 
 // buildStop models pfm_stop.
-func (p *Perfmon) buildStop() *isa.Program {
+func (h handlerKey) buildStop() *isa.Program {
 	b := isa.NewBuilder("pfm_sys_stop", 0xffff_b200_0000)
-	b.ALUBlock(p.kscale(stopKernelPre))
+	b.ALUBlock(h.kscale(stopKernelPre))
 	b.Emit(isa.VarWork(kernelJitterMax, 33))
-	b.Emit(isa.WRMSR(isa.MSRDisable, p.mask))
-	b.ALUBlock(p.kscale(stopKernelPost))
+	b.Emit(isa.WRMSR(isa.MSRDisable, maskFor(h.n)))
+	b.ALUBlock(h.kscale(stopKernelPost))
 	b.Emit(isa.SysRet())
 	return b.Build()
 }
@@ -180,24 +195,24 @@ func (p *Perfmon) buildStop() *isa.Program {
 // load-virtualize-copyout loop with each counter captured in turn, then
 // the exit path. With k counters, k-1 PMD slots of work land inside the
 // first counter's window — the Figure 5 register scaling.
-func (p *Perfmon) buildRead(n int, phase core.Phase) *isa.Program {
+func (h handlerKey) buildRead(phase core.Phase) *isa.Program {
 	b := isa.NewBuilder(fmt.Sprintf("pfm_sys_read_%d", phase), 0xffff_b300_0000)
-	b.ALUBlock(p.kscale(readKernelPre))
+	b.ALUBlock(h.kscale(readKernelPre))
 	b.Emit(isa.VarWork(kernelJitterMax, 34))
-	for i := 0; i < n; i++ {
+	for i := 0; i < h.n; i++ {
 		if i > 0 {
-			b.ALUBlock(p.kscale(readPerPMD))
+			b.ALUBlock(h.kscale(readPerPMD))
 		}
-		b.Emit(isa.RDPMC(i, phase.SlotFor(i, n)))
+		b.Emit(isa.RDPMC(i, phase.SlotFor(i, h.n)))
 	}
-	b.ALUBlock(p.kscale(readKernelPost))
+	b.ALUBlock(h.kscale(readKernelPost))
 	b.Emit(isa.VarWork(kernelJitterMax, 35))
 	b.Emit(isa.SysRet())
 	return b.Build()
 }
 
 // maskFor returns the enable mask for n counters.
-func (p *Perfmon) maskFor(n int) uint64 {
+func maskFor(n int) uint64 {
 	if n <= 0 {
 		return 0
 	}

@@ -164,3 +164,43 @@ func TestTickWorkTables(t *testing.T) {
 		}
 	}
 }
+
+// TestHandlersSharedPerCounterCount: contexts on one processor install
+// the same handler programs for a counter count, and a context
+// returning to an earlier count reinstalls the programs it had.
+func TestHandlersSharedPerCounterCount(t *testing.T) {
+	k1, p1 := newCtx(t, cpu.Core2Duo)
+	k2, p2 := newCtx(t, cpu.Core2Duo)
+	nrs := []int{sysReset, sysStart, sysStop, sysReadA, sysReadB}
+	setup := func(p *Perfmon, n int) {
+		t.Helper()
+		specs := make([]core.CounterSpec, n)
+		for i := range specs {
+			specs[i] = core.CounterSpec{Event: cpu.EventInstrRetired, User: true}
+		}
+		if err := p.Setup(specs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	setup(p1, 1)
+	setup(p2, 1)
+	one := make(map[int]*isa.Program)
+	for _, nr := range nrs {
+		one[nr] = k1.Core.Syscalls[nr]
+		if k2.Core.Syscalls[nr] != one[nr] {
+			t.Errorf("syscall %d: contexts on one processor hold different handlers", nr)
+		}
+	}
+	setup(p1, 2)
+	for _, nr := range nrs {
+		if k1.Core.Syscalls[nr] == one[nr] {
+			t.Errorf("syscall %d: two counters reuse the one-counter handler", nr)
+		}
+	}
+	setup(p1, 1)
+	for _, nr := range nrs {
+		if k1.Core.Syscalls[nr] != one[nr] {
+			t.Errorf("syscall %d: returning to one counter installed a new handler", nr)
+		}
+	}
+}

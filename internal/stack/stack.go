@@ -34,6 +34,9 @@ type System struct {
 	// Engine is the execution engine measurements run on when the
 	// request does not pin one; nil selects the process default.
 	Engine cpu.Runner
+
+	// harnesses memoizes the system's harness programs across runs.
+	harnesses core.Harnesses
 }
 
 // Options configure system construction.
@@ -110,12 +113,13 @@ func (s *System) Reset() {
 }
 
 // Measure runs one measurement on this system. Requests that do not
-// pin an engine run on the system's engine.
+// pin an engine run on the system's engine. The system reuses the
+// harness of a shape it has measured recently (core.Harnesses).
 func (s *System) Measure(req core.Request) (*core.Measurement, error) {
 	if req.Runner == nil {
 		req.Runner = s.Engine
 	}
-	return core.Measure(s.Kernel, s.Infra, req)
+	return s.harnesses.Measure(s.Kernel, s.Infra, req)
 }
 
 // MeasureN runs n repetitions and returns counter 0's per-run error.
@@ -123,5 +127,5 @@ func (s *System) MeasureN(req core.Request, n int, seedBase uint64) ([]int64, er
 	if req.Runner == nil {
 		req.Runner = s.Engine
 	}
-	return core.MeasureN(s.Kernel, s.Infra, req, n, seedBase)
+	return s.harnesses.MeasureN(s.Kernel, s.Infra, req, n, seedBase)
 }

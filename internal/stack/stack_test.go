@@ -3,6 +3,7 @@ package stack
 import (
 	"testing"
 
+	"repro/internal/campaign/gen"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/kernel"
@@ -72,5 +73,48 @@ func TestSystemMeasure(t *testing.T) {
 	}
 	if m.Deltas[0] < m.Expected {
 		t.Errorf("measured %d below ground truth %d", m.Deltas[0], m.Expected)
+	}
+}
+
+// TestHarnessMemo: a system keeps one harness per shape it measures —
+// counter count, pattern, opt level and benchmark — and a stream of
+// distinct generated programs never grows the memo past its bound.
+func TestHarnessMemo(t *testing.T) {
+	s, err := New(cpu.Athlon64X2, "pc", DefaultOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	measure := func(req core.Request) {
+		t.Helper()
+		if _, err := s.Measure(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loop := core.Request{Bench: core.LoopBenchmark(100), Pattern: core.ReadRead, Seed: 1}
+	two := loop
+	two.Events = []cpu.Event{cpu.EventInstrRetired, cpu.EventCoreCycles}
+	for i, step := range []struct {
+		req  core.Request
+		want int
+	}{{loop, 1}, {loop, 1}, {two, 2}, {loop, 2}} {
+		step.req.Seed = uint64(i)
+		measure(step.req)
+		if got := s.harnesses.Len(); got != step.want {
+			t.Fatalf("step %d: memo holds %d harnesses, want %d", i, got, step.want)
+		}
+	}
+
+	for seed := uint64(0); seed < 1000; seed++ {
+		p, err := gen.New(gen.ClassMix, seed, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		measure(core.Request{Bench: p.Benchmark(), Pattern: core.StartRead, Seed: 1})
+		if got := s.harnesses.Len(); got > core.HarnessMemoSize {
+			t.Fatalf("after %d generated programs the memo holds %d harnesses, bound %d", seed+1, got, core.HarnessMemoSize)
+		}
+	}
+	if got := s.harnesses.Len(); got != core.HarnessMemoSize {
+		t.Errorf("memo holds %d harnesses after 1,000 programs, want it full at %d", got, core.HarnessMemoSize)
 	}
 }
