@@ -156,10 +156,28 @@ func TestFrontAffinity(t *testing.T) {
 // and every answer stays byte-identical to the pre-kill answer.
 func TestFrontNodeKill(t *testing.T) {
 	f, front, backends := newFleet(t, 3, func(c *Config) { c.FailAfter = 1 })
-	const n = 12
-	before := make([][]byte, n)
-	for i := 0; i < n; i++ {
-		resp, data := postJSON(t, front.URL+"/measure", measureReq(i+1))
+	// The ring places keys by the backends' OS-picked ports, so keep
+	// adding requests until the node about to be killed owns one;
+	// otherwise nothing is forwarded to it and no failover happens.
+	name := f.Cluster().nodes[1].Name
+	var reqs []api.MeasureRequest
+	owned := false
+	for runs := 1; runs <= 12 || !owned; runs++ {
+		if runs > 200 {
+			t.Fatal("no request of 200 hashed to the node to be killed")
+		}
+		req := measureReq(runs)
+		body, _ := json.Marshal(req)
+		key, err := api.RequestKeyForPath("/measure", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		owned = owned || f.Cluster().Owner(key).Name == name
+		reqs = append(reqs, req)
+	}
+	before := make([][]byte, len(reqs))
+	for i, req := range reqs {
+		resp, data := postJSON(t, front.URL+"/measure", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("pre-kill request %d: status %d: %s", i, resp.StatusCode, data)
 		}
@@ -167,8 +185,8 @@ func TestFrontNodeKill(t *testing.T) {
 	}
 	backends[1].Close()
 	failovers := 0
-	for i := 0; i < n; i++ {
-		resp, data := postJSON(t, front.URL+"/measure", measureReq(i+1))
+	for i, req := range reqs {
+		resp, data := postJSON(t, front.URL+"/measure", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("post-kill request %d: status %d: %s", i, resp.StatusCode, data)
 		}
@@ -180,9 +198,8 @@ func TestFrontNodeKill(t *testing.T) {
 		}
 	}
 	if failovers == 0 {
-		t.Log("no key was owned by the killed node; failover path not exercised")
+		t.Fatal("a request owned by the killed node did not fail over")
 	}
-	name := f.Cluster().nodes[1].Name
 	if got := f.Cluster().NodeInfo(name).State; got != api.NodeUnhealthy {
 		t.Errorf("killed node state = %s, want unhealthy after forwarded failures", got)
 	}

@@ -729,6 +729,15 @@ func (c *Core) IterCycles(addr, bytes uint64, memOps int) float64 {
 	return GridCycles(cyc)
 }
 
+// OverflowLive reports whether a counter period crossing would now be
+// delivered as a PMU interrupt: a sampling consumer is attached and the
+// interrupt is not masked. Inside the overflow handler it is masked, so
+// crossings there are only summed into OverflowsLost; ticks are not
+// masked there.
+func (c *Core) OverflowLive() bool {
+	return (c.OnOverflow != nil || c.OverflowHandler != nil) && !c.inPMI
+}
+
 // TimerActive reports whether tick delivery can occur now.
 func (c *Core) TimerActive() bool {
 	return c.Timer.Enabled && c.Timer.Handler != nil && !c.inIRQ

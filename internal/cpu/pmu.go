@@ -3,6 +3,7 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // CounterConfig programs one performance counter: what to count and in
@@ -34,11 +35,12 @@ func (c CounterConfig) CountsIn(m Mode) bool {
 
 // Counter is one hardware counter register. Values are kept as float64:
 // instruction counts stay exact (integers below 2^53) while cycle counts
-// can accumulate fractional per-instruction costs.
+// can accumulate fractional per-instruction costs. Configuration and
+// enable state change only through the PMU's methods, which keep its
+// event routing in step with them.
 type Counter struct {
-	Config  CounterConfig
-	Enabled bool
-	fixed   bool // fixed-function: Event is hardwired
+	cfg     CounterConfig
+	enabled bool
 	value   float64
 }
 
@@ -63,6 +65,18 @@ type PMU struct {
 	tsc float64
 	// pending holds overflow crossings awaiting collection.
 	pending []Overflow
+	// route lists, per (mode, event), the enabled counters gated into
+	// that mode and programmed with that event, so AddEvent visits only
+	// the counters it credits. Every method that changes a counter's
+	// configuration or enable state rebuilds it (reroute).
+	route [Kernel + 1][numEvents]routeMask
+}
+
+// routeMask is a set of counters by index: bit i of prog is Prog[i],
+// bit i of fixed is Fixed[i]. Enable masks are already 64 bits wide, so
+// no model has more counters than a mask holds.
+type routeMask struct {
+	prog, fixed uint64
 }
 
 // ErrBadCounter reports an out-of-range counter index.
@@ -76,9 +90,9 @@ func NewPMU(m *Model) *PMU {
 		Fixed: make([]Counter, m.NumFixed),
 	}
 	for i := range p.Fixed {
-		p.Fixed[i].fixed = true
-		p.Fixed[i].Config = CounterConfig{Event: m.FixedEvents[i], User: true, OS: true}
+		p.Fixed[i].cfg = CounterConfig{Event: m.FixedEvents[i], User: true, OS: true}
 	}
+	p.reroute()
 	return p
 }
 
@@ -95,7 +109,8 @@ func (p *PMU) Configure(i int, cfg CounterConfig) error {
 	if cfg.Event != EventNone && !SupportsEvent(p.model.Arch, cfg.Event) {
 		return fmt.Errorf("cpu: event %s not supported on %s", cfg.Event, p.model.Arch)
 	}
-	p.Prog[i].Config = cfg
+	p.Prog[i].cfg = cfg
+	p.reroute()
 	return nil
 }
 
@@ -105,8 +120,9 @@ func (p *PMU) ConfigureFixed(i int, user, os bool) error {
 	if i < 0 || i >= len(p.Fixed) {
 		return fmt.Errorf("%w: fixed %d (model %s has %d)", ErrBadCounter, i, p.model.Tag, len(p.Fixed))
 	}
-	p.Fixed[i].Config.User = user
-	p.Fixed[i].Config.OS = os
+	p.Fixed[i].cfg.User = user
+	p.Fixed[i].cfg.OS = os
+	p.reroute()
 	return nil
 }
 
@@ -114,18 +130,20 @@ func (p *PMU) ConfigureFixed(i int, user, os bool) error {
 func (p *PMU) Enable(mask uint64) {
 	for i := range p.Prog {
 		if mask&(1<<uint(i)) != 0 {
-			p.Prog[i].Enabled = true
+			p.Prog[i].enabled = true
 		}
 	}
+	p.reroute()
 }
 
 // Disable stops counting on the programmable counters in mask.
 func (p *PMU) Disable(mask uint64) {
 	for i := range p.Prog {
 		if mask&(1<<uint(i)) != 0 {
-			p.Prog[i].Enabled = false
+			p.Prog[i].enabled = false
 		}
 	}
+	p.reroute()
 }
 
 // Reset zeroes the programmable counters in mask.
@@ -140,8 +158,9 @@ func (p *PMU) Reset(mask uint64) {
 // EnableFixed enables all fixed counters.
 func (p *PMU) EnableFixed() {
 	for i := range p.Fixed {
-		p.Fixed[i].Enabled = true
+		p.Fixed[i].enabled = true
 	}
+	p.reroute()
 }
 
 // Value returns the value of programmable counter i.
@@ -181,25 +200,44 @@ func (p *PMU) AddCycles(mode Mode, c float64) {
 // AddEvent credits n occurrences of ev in mode to all enabled, gated
 // counters. n is fractional only for cycle events. Counters configured
 // with an overflow period record their period crossings for the
-// execution engine to collect via TakeOverflows.
+// execution engine to collect via TakeOverflows. Counters are visited
+// in ascending index order, so pending overflows queue in counter order.
 func (p *PMU) AddEvent(mode Mode, ev Event, n float64) {
-	for i := range p.Prog {
+	if ev >= numEvents {
+		return // no counter can be programmed with it
+	}
+	r := p.route[mode][ev]
+	for m := r.prog; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m)
 		ctr := &p.Prog[i]
-		if ctr.Enabled && ctr.Config.Event == ev && ctr.Config.CountsIn(mode) {
-			prev := ctr.value
-			ctr.value += n
-			if period := ctr.Config.OverflowPeriod; period > 0 {
-				crossings := int64(ctr.value)/period - int64(prev)/period
-				if crossings > 0 {
-					p.pending = append(p.pending, Overflow{Counter: i, Crossings: crossings})
-				}
+		prev := ctr.value
+		ctr.value += n
+		if period := ctr.cfg.OverflowPeriod; period > 0 {
+			crossings := int64(ctr.value)/period - int64(prev)/period
+			if crossings > 0 {
+				p.pending = append(p.pending, Overflow{Counter: i, Crossings: crossings})
 			}
 		}
 	}
-	for i := range p.Fixed {
-		ctr := &p.Fixed[i]
-		if ctr.Enabled && ctr.Config.Event == ev && ctr.Config.CountsIn(mode) {
-			ctr.value += n
+	for m := r.fixed; m != 0; m &= m - 1 {
+		p.Fixed[bits.TrailingZeros64(m)].value += n
+	}
+}
+
+// reroute rebuilds the (mode, event) routing table from the counters'
+// configuration and enable state.
+func (p *PMU) reroute() {
+	p.route = [Kernel + 1][numEvents]routeMask{}
+	for _, mode := range [...]Mode{User, Kernel} {
+		for i := range p.Prog {
+			if ctr := &p.Prog[i]; ctr.enabled && ctr.cfg.CountsIn(mode) {
+				p.route[mode][ctr.cfg.Event].prog |= 1 << uint(i)
+			}
+		}
+		for i := range p.Fixed {
+			if ctr := &p.Fixed[i]; ctr.enabled && ctr.cfg.CountsIn(mode) {
+				p.route[mode][ctr.cfg.Event].fixed |= 1 << uint(i)
+			}
 		}
 	}
 }
@@ -212,15 +250,16 @@ func (p *PMU) AddEvent(mode Mode, ev Event, n float64) {
 // serve byte-identical results regardless of its history.
 func (p *PMU) ZeroState() {
 	for i := range p.Prog {
-		p.Prog[i].Enabled = false
+		p.Prog[i].enabled = false
 		p.Prog[i].value = 0
 	}
 	for i := range p.Fixed {
-		p.Fixed[i].Enabled = false
+		p.Fixed[i].enabled = false
 		p.Fixed[i].value = 0
 	}
 	p.tsc = 0
 	p.pending = nil
+	p.reroute()
 }
 
 // Overflow records counter period crossings awaiting interrupt delivery.
@@ -259,14 +298,14 @@ func (p *PMU) ArmedHeadrooms(mode Mode) []ArmedCounter {
 	var out []ArmedCounter
 	for i := range p.Prog {
 		ctr := &p.Prog[i]
-		period := ctr.Config.OverflowPeriod
-		if !ctr.Enabled || period <= 0 || !ctr.Config.CountsIn(mode) {
+		period := ctr.cfg.OverflowPeriod
+		if !ctr.enabled || period <= 0 || !ctr.cfg.CountsIn(mode) {
 			continue
 		}
 		v := int64(ctr.value)
 		out = append(out, ArmedCounter{
 			Counter:  i,
-			Event:    ctr.Config.Event,
+			Event:    ctr.cfg.Event,
 			Headroom: period - v%period,
 		})
 	}
@@ -282,13 +321,13 @@ func (p *PMU) ArmedHeadrooms(mode Mode) []ArmedCounter {
 // never go negative.
 func (p *PMU) SkewExclusive(delta float64) {
 	apply := func(ctr *Counter) {
-		if !ctr.Enabled || ctr.Config.Event != EventInstrRetired {
+		if !ctr.enabled || ctr.cfg.Event != EventInstrRetired {
 			return
 		}
 		switch {
-		case ctr.Config.User && !ctr.Config.OS:
+		case ctr.cfg.User && !ctr.cfg.OS:
 			ctr.value += delta
-		case ctr.Config.OS && !ctr.Config.User:
+		case ctr.cfg.OS && !ctr.cfg.User:
 			ctr.value -= delta
 		}
 		if ctr.value < 0 {

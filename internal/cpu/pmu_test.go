@@ -2,8 +2,11 @@ package cpu
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/xrand"
 )
 
 func TestNewPMUInventory(t *testing.T) {
@@ -257,5 +260,110 @@ func TestCountsIn(t *testing.T) {
 	c = CounterConfig{User: false, OS: true}
 	if c.CountsIn(User) || !c.CountsIn(Kernel) {
 		t.Error("kernel-only gating wrong")
+	}
+}
+
+// scanAddEvent is the reference for PMU.AddEvent: a linear scan over
+// every counter, testing enable state, event and mode gating in place.
+func scanAddEvent(p *PMU, mode Mode, ev Event, n float64) {
+	for i := range p.Prog {
+		ctr := &p.Prog[i]
+		if ctr.enabled && ctr.cfg.Event == ev && ctr.cfg.CountsIn(mode) {
+			prev := ctr.value
+			ctr.value += n
+			if period := ctr.cfg.OverflowPeriod; period > 0 {
+				crossings := int64(ctr.value)/period - int64(prev)/period
+				if crossings > 0 {
+					p.pending = append(p.pending, Overflow{Counter: i, Crossings: crossings})
+				}
+			}
+		}
+	}
+	for i := range p.Fixed {
+		ctr := &p.Fixed[i]
+		if ctr.enabled && ctr.cfg.Event == ev && ctr.cfg.CountsIn(mode) {
+			ctr.value += n
+		}
+	}
+}
+
+// TestRoutedAddEventMatchesScan drives random sequences of configure,
+// enable, disable, reset, zero and add calls through two PMUs, one
+// adding through the routing table and one through the reference scan:
+// counter values and pending overflows must stay identical.
+func TestRoutedAddEventMatchesScan(t *testing.T) {
+	for _, m := range AllModels {
+		events := append([]Event{EventNone}, Events(m.Arch)...)
+		for seed := uint64(1); seed <= 50; seed++ {
+			r := xrand.New(xrand.Mix(seed, uint64(m.Arch)))
+			routed, ref := NewPMU(m), NewPMU(m)
+			both := func(f func(p *PMU)) {
+				f(routed)
+				f(ref)
+			}
+			mask := func() uint64 { return r.Uint64() & (1<<uint(len(routed.Prog)) - 1) }
+			for step := 0; step < 400; step++ {
+				switch r.Intn(11) {
+				case 0:
+					i := r.Intn(len(routed.Prog))
+					cfg := CounterConfig{
+						Event: events[r.Intn(len(events))],
+						User:  r.Intn(2) == 0, OS: r.Intn(2) == 0,
+					}
+					if r.Intn(2) == 0 {
+						cfg.OverflowPeriod = 1 + r.Int63n(50)
+					}
+					both(func(p *PMU) {
+						if err := p.Configure(i, cfg); err != nil {
+							t.Fatal(err)
+						}
+					})
+				case 1:
+					if len(routed.Fixed) > 0 {
+						i, user, os := r.Intn(len(routed.Fixed)), r.Intn(2) == 0, r.Intn(2) == 0
+						both(func(p *PMU) {
+							if err := p.ConfigureFixed(i, user, os); err != nil {
+								t.Fatal(err)
+							}
+						})
+					}
+				case 2:
+					mk := mask()
+					both(func(p *PMU) { p.Enable(mk) })
+				case 3:
+					mk := mask()
+					both(func(p *PMU) { p.Disable(mk) })
+				case 4:
+					mk := mask()
+					both(func(p *PMU) { p.Reset(mk) })
+				case 5:
+					both((*PMU).EnableFixed)
+				case 6:
+					if r.Intn(8) == 0 {
+						both((*PMU).ZeroState)
+					}
+				case 7:
+					if got, want := routed.TakeOverflows(), ref.TakeOverflows(); !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s seed %d step %d: overflows taken = %v, scan = %v", m.Tag, seed, step, got, want)
+					}
+				default:
+					mode := Mode(r.Intn(2))
+					ev := events[r.Intn(len(events))]
+					n := float64(r.Intn(100))
+					if ev == EventCoreCycles {
+						n = GridCycles(r.Float64() * 100)
+					}
+					routed.AddEvent(mode, ev, n)
+					scanAddEvent(ref, mode, ev, n)
+				}
+				if !reflect.DeepEqual(routed.Prog, ref.Prog) || !reflect.DeepEqual(routed.Fixed, ref.Fixed) {
+					t.Fatalf("%s seed %d step %d: counters diverge:\nrouted: %+v %+v\nscan:   %+v %+v",
+						m.Tag, seed, step, routed.Prog, routed.Fixed, ref.Prog, ref.Fixed)
+				}
+				if !reflect.DeepEqual(routed.pending, ref.pending) {
+					t.Fatalf("%s seed %d step %d: pending overflows = %v, scan = %v", m.Tag, seed, step, routed.pending, ref.pending)
+				}
+			}
+		}
 	}
 }

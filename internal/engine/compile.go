@@ -16,6 +16,9 @@ import (
 // class counts (constant within a block, since a bulk block by
 // definition contains no tick that could change the frequency).
 type block struct {
+	// id numbers the block within its program, in pc order, so per-run
+	// state can be kept per block in a bitset (see warmSet).
+	id int
 	// next is the pc execution continues at after the block: the taken
 	// branch target if the block ends in a taken branch, otherwise the
 	// pc of the first non-bulkable instruction.
@@ -36,9 +39,10 @@ type block struct {
 }
 
 // program is one compiled program: per-pc block table (nil where
-// execution must step).
+// execution must step) and the number of blocks in it.
 type program struct {
-	blocks []*block
+	blocks  []*block
+	nblocks int
 }
 
 // blockAt returns the block starting at pc, or nil.
@@ -69,33 +73,41 @@ func bulkable(op isa.Op) bool {
 // just before the first instruction that must be stepped.
 func compile(p *isa.Program) *program {
 	code := p.Code
-	leaders := make(map[int]bool, 8)
-	leaders[0] = true
+	leaders := make([]bool, len(code))
+	lead := func(pc int) {
+		if pc >= 0 && pc < len(code) {
+			leaders[pc] = true
+		}
+	}
+	lead(0)
 	for pc, in := range code {
 		switch in.Op {
 		case isa.OpBranch:
 			if in.B != 0 {
-				leaders[int(in.A)] = true
+				lead(int(in.A))
 			}
 		case isa.OpLoop:
-			leaders[pc+1+int(in.B)] = true
+			lead(pc + 1 + int(in.B))
 			// The body itself is executed by the loop fast-forward, not
 			// by block dispatch, so body pcs need no blocks.
 		case isa.OpHalt, isa.OpSysRet, isa.OpIRet:
 			// Frame ends; nothing follows.
 		default:
 			if !bulkable(in.Op) {
-				leaders[pc+1] = true
+				lead(pc + 1)
 			}
 		}
 	}
 
 	cp := &program{blocks: make([]*block, len(code))}
-	for leader := range leaders {
-		if leader < 0 || leader >= len(code) || !bulkable(code[leader].Op) {
+	for pc, isLeader := range leaders {
+		if !isLeader || !bulkable(code[pc].Op) {
 			continue
 		}
-		cp.blocks[leader] = lowerBlock(p, leader)
+		b := lowerBlock(p, pc)
+		b.id = cp.nblocks
+		cp.nblocks++
+		cp.blocks[pc] = b
 	}
 	return cp
 }

@@ -50,15 +50,19 @@ func (e *Compiled) RunProgram(c *cpu.Core, p *isa.Program) error {
 	// Per-run memo: within one run the same handful of programs (the
 	// top-level program plus the kernel's handlers) recurs thousands of
 	// times, and a pointer lookup beats re-hashing a 2000-instruction
-	// tick handler on every delivery.
-	memo := make(map[*isa.Program]*program, 4)
-	lookup := func(q *isa.Program) *program {
-		cp, ok := memo[q]
+	// tick handler on every delivery. Each program also gets the set of
+	// its blocks already applied in this run, which lives only in this
+	// memo: compiled programs are shared by every core and may be
+	// evicted from the cache, so no per-run state is stored on them.
+	memo := make(map[*isa.Program]runEntry, 4)
+	lookup := func(q *isa.Program) runEntry {
+		ent, ok := memo[q]
 		if !ok {
-			cp = e.cache.lookup(q, c.Model.Tag)
-			memo[q] = cp
+			cp := e.cache.lookup(q, c.Model.Tag)
+			ent = runEntry{cp: cp, warm: newWarmSet(cp.nblocks)}
+			memo[q] = ent
 		}
-		return cp
+		return ent
 	}
 	prev := c.NestedRun
 	c.NestedRun = func(q *isa.Program) error {
@@ -66,15 +70,38 @@ func (e *Compiled) RunProgram(c *cpu.Core, p *isa.Program) error {
 	}
 	defer func() { c.NestedRun = prev }()
 
+	// The warm sets above are exact only because BeginRun runs once, here,
+	// before any block: a core's fetch state only grows between BeginRun
+	// calls, so a block applied earlier in this run has its whole
+	// footprint warm. The one Core.Run that could nest and clear it is
+	// the one in kernel.SwitchTo, which only host code calls, between
+	// runs.
 	c.BeginRun()
 	return e.runFrame(c, p, lookup(p))
 }
+
+// runEntry is one program's entry in a run's memo: its compiled form
+// and which of its blocks have been applied in the run.
+type runEntry struct {
+	cp   *program
+	warm warmSet
+}
+
+// warmSet holds one bit per block id: set once the block has been
+// applied in the current run, which leaves its fetch footprint warm.
+type warmSet []uint64
+
+func newWarmSet(nblocks int) warmSet { return make(warmSet, (nblocks+63)/64) }
+
+func (w warmSet) has(id int) bool { return w[id/64]&(1<<uint(id%64)) != 0 }
+
+func (w warmSet) add(id int) { w[id/64] |= 1 << uint(id%64) }
 
 // runFrame executes one program frame: block dispatch where a block is
 // compiled and bulk application is exact, the core's Step everywhere
 // else (which also handles loops, PMU-visible instructions, and frame
 // terminators).
-func (e *Compiled) runFrame(c *cpu.Core, p *isa.Program, cp *program) error {
+func (e *Compiled) runFrame(c *cpu.Core, p *isa.Program, ent runEntry) error {
 	err := c.PushFrame(p)
 	defer c.PopFrame()
 	if err != nil {
@@ -83,9 +110,11 @@ func (e *Compiled) runFrame(c *cpu.Core, p *isa.Program, cp *program) error {
 
 	pc := 0
 	for {
-		if b := cp.blockAt(pc); b != nil {
-			if cyc, ok := canBulk(c, b); ok {
-				applyBlock(c, b, cyc)
+		if b := ent.cp.blockAt(pc); b != nil {
+			warm := ent.warm.has(b.id)
+			if cyc, ok := canBulk(c, b, warm); ok {
+				applyBlock(c, b, cyc, warm)
+				ent.warm.add(b.id)
 				if err := c.CheckInterrupts(); err != nil {
 					return err
 				}
@@ -102,11 +131,17 @@ func (e *Compiled) runFrame(c *cpu.Core, p *isa.Program, cp *program) error {
 }
 
 // canBulk decides whether a block may be applied in bulk right now, and
-// returns its cycle cost when it may. Bulk application is allowed only
-// when it is provably byte-identical to stepping:
+// returns its cycle cost when it may. warm reports that the block has
+// already been applied in this run, so its fetch footprint is warm.
+// Bulk application is allowed only when it is provably byte-identical
+// to stepping:
 //
-//   - no sampling consumer is installed (overflow interrupts must fire
-//     at exact crossings, which only stepping observes);
+//   - overflow delivery is not live (cpu.Core.OverflowLive): with a
+//     sampling consumer attached, an overflow interrupt must fire at
+//     the exact crossing, which only stepping observes. Inside the
+//     overflow handler delivery is masked and crossings are only
+//     summed into OverflowsLost; AddEvent's crossing count telescopes,
+//     so one bulk add records the same total as stepping;
 //   - the timer cannot fire strictly inside the block — per-instruction
 //     costs and cold-fetch penalties are positive and exact, so if the
 //     block's total cost (including the first-touch penalties of its
@@ -118,16 +153,18 @@ func (e *Compiled) runFrame(c *cpu.Core, p *isa.Program, cp *program) error {
 // counts, so charging them en bloc (cpu.Core.FetchMark) is bit-identical
 // to charging them at each instruction's fetch. The returned cost is
 // the class cycles only; FetchMark adds the penalty cycles itself.
-func canBulk(c *cpu.Core, b *block) (float64, bool) {
-	if c.OnOverflow != nil || c.OverflowHandler != nil {
+func canBulk(c *cpu.Core, b *block, warm bool) (float64, bool) {
+	if c.OverflowLive() {
 		return 0, false
 	}
 	cyc := b.cycles(c)
 	if c.TimerActive() {
 		total := cyc
-		if coldLines, coldPages := c.FetchColdCount(b.lines, b.pages); coldLines|coldPages != 0 {
-			total += float64(coldLines)*c.Model.ICacheMissPenalty +
-				float64(coldPages)*c.Model.ITLBMissPenalty
+		if !warm {
+			if coldLines, coldPages := c.FetchColdCount(b.lines, b.pages); coldLines|coldPages != 0 {
+				total += float64(coldLines)*c.Model.ICacheMissPenalty +
+					float64(coldPages)*c.Model.ITLBMissPenalty
+			}
 		}
 		if c.Cycles+total >= c.Timer.Next {
 			return 0, false
@@ -136,11 +173,14 @@ func canBulk(c *cpu.Core, b *block) (float64, bool) {
 	return cyc, true
 }
 
-// applyBlock commits a block's precomputed deltas: cold-fetch misses,
-// mispredict events, retired instructions, cycles, and the attribution
-// address a stepwise pass would have left.
-func applyBlock(c *cpu.Core, b *block, cyc float64) {
-	c.FetchMark(b.lines, b.pages)
+// applyBlock commits a block's precomputed deltas: cold-fetch misses
+// (none when the block is warm), mispredict events, retired
+// instructions, cycles, and the attribution address a stepwise pass
+// would have left.
+func applyBlock(c *cpu.Core, b *block, cyc float64, warm bool) {
+	if !warm {
+		c.FetchMark(b.lines, b.pages)
+	}
 	if b.misp > 0 {
 		c.PMU.AddEvent(c.Mode, cpu.EventBrMispRetired, float64(b.misp))
 	}

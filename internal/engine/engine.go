@@ -18,10 +18,14 @@
 //
 // The compiled engine falls back to stepwise execution inside blocks
 // containing PMU-visible instructions (RDPMC/RDTSC/RDMSR/WRMSR,
-// syscalls, VarWork), when a timer tick could fire mid-block, when the
-// block's fetch footprint is still cold, or when a sampling consumer
-// needs overflow interrupts delivered at exact crossings. Plain loop
-// bodies keep using the core's existing O(1) loop fast-forward.
+// syscalls, VarWork), when a timer tick could fire mid-block, or when a
+// sampling consumer needs overflow interrupts delivered at exact
+// crossings — everywhere except inside the overflow handler, where the
+// interrupt is masked and crossings are only counted as lost. A cold
+// fetch footprint does not force a fallback: its first-touch penalties
+// are folded into the bulk application, and a block that has already
+// run in this run skips the fetch check altogether. Plain loop bodies
+// keep using the core's existing O(1) loop fast-forward.
 package engine
 
 import (

@@ -176,11 +176,11 @@ func TestCompiledActuallyBulks(t *testing.T) {
 	c := cpu.NewCore(m)
 	c.SeedRun(1)
 	c.BeginRun()
-	cyc, ok := canBulk(c, entry)
+	cyc, ok := canBulk(c, entry, false)
 	if !ok {
 		t.Fatal("canBulk rejected a cold straight-line block with no timer — the engine would silently step everything")
 	}
-	applyBlock(c, entry, cyc)
+	applyBlock(c, entry, cyc, false)
 	if err := c.CheckInterrupts(); err != nil {
 		t.Fatal(err)
 	}

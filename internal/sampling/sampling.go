@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/cpu"
 	"repro/internal/isa"
@@ -32,6 +33,17 @@ import (
 // concurrently running user+kernel count — which docs/ACCURACY.md
 // documents as the cost of tightening the quantization bracket.
 const HandlerCost = 420
+
+// overflowHandler is the PMU interrupt handler every profiler installs.
+// It is built once per process and never modified, so all profilers
+// share one pointer, which the compiled engine's cache recognizes
+// without hashing (as kernel.Shared does for the tick handler).
+var overflowHandler = sync.OnceValue(func() *isa.Program {
+	hb := isa.NewBuilder("pmu_overflow", 0xffff_c000_0000)
+	hb.ALUBlock(HandlerCost)
+	hb.Emit(isa.IRet())
+	return hb.Build()
+})
 
 // samplingCounter is the programmable counter index the profiler uses.
 // Profilers conventionally claim the last counter so event-counting
@@ -105,10 +117,10 @@ type Profiler struct {
 	period int64
 
 	// Runner is the execution engine for profiled runs; nil uses the
-	// core's interpreter directly. With a sampling consumer installed
-	// the compiled engine steps every instruction anyway (overflow
-	// interrupts must fire at exact crossings), so the choice is about
-	// uniform routing and conformance testing, not speed.
+	// core's interpreter directly. The compiled engine steps every
+	// instruction of the profiled program, so overflow interrupts fire
+	// at exact crossings, but bulk-applies the overflow handler and
+	// anything nested in it, where the PMU interrupt is masked.
 	Runner cpu.Runner
 }
 
@@ -145,10 +157,7 @@ func (p *Profiler) Run(prog *isa.Program, seed uint64) (*Profile, error) {
 			prof.Samples = append(prof.Samples, Sample{Addr: addr, Mode: mode})
 		}
 	}
-	hb := isa.NewBuilder("pmu_overflow", 0xffff_c000_0000)
-	hb.ALUBlock(HandlerCost)
-	hb.Emit(isa.IRet())
-	c.OverflowHandler = hb.Build()
+	c.OverflowHandler = overflowHandler()
 	defer func() {
 		c.OnOverflow = nil
 		c.OverflowHandler = nil

@@ -2,9 +2,12 @@ package sampling
 
 import (
 	"errors"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cpu"
+	"repro/internal/engine"
 	"repro/internal/isa"
 	"repro/internal/kernel"
 )
@@ -168,4 +171,77 @@ func TestCycleSampling(t *testing.T) {
 	if re := prof.RelativeError(); re < -0.05 || re > 0.05 {
 		t.Errorf("cycle estimate error = %v", re)
 	}
+}
+
+// handlerSpy is a Runner that records the overflow handler installed
+// for each profiled run, then interprets the program.
+type handlerSpy struct{ handlers []*isa.Program }
+
+func (s *handlerSpy) Name() string { return "spy" }
+
+func (s *handlerSpy) RunProgram(c *cpu.Core, p *isa.Program) error {
+	s.handlers = append(s.handlers, c.OverflowHandler)
+	c.NestedRun = nil
+	return c.Run(p)
+}
+
+// TestHandlerShared: profilers on different kernels install the same
+// handler program, so it is built once per process and the compiled
+// engine's cache finds it by pointer.
+func TestHandlerShared(t *testing.T) {
+	spy := &handlerSpy{}
+	for _, m := range []*cpu.Model{cpu.Athlon64X2, cpu.PentiumD} {
+		p, err := New(kernel.New(m), cpu.EventInstrRetired, 5_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Runner = spy
+		if _, err := p.Run(loopProgram(10_000, 0x4000), 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(spy.handlers) != 2 || spy.handlers[0] == nil || spy.handlers[0] != spy.handlers[1] {
+		t.Fatalf("installed handlers = %v, want one shared non-nil program", spy.handlers)
+	}
+}
+
+// TestConcurrentProfilers runs profilers on separate kernels at once
+// through one compiled engine: they share the handler program and the
+// compile cache, and each profile must equal a serial run's.
+func TestConcurrentProfilers(t *testing.T) {
+	eng := engine.NewCompiled(nil)
+	run := func(ev cpu.Event) (*Profile, error) {
+		p, err := New(kernel.New(cpu.Core2Duo), ev, 3_000)
+		if err != nil {
+			return nil, err
+		}
+		p.Runner = eng
+		return p.Run(loopProgram(200_000, 0x4000), 21)
+	}
+	events := []cpu.Event{cpu.EventInstrRetired, cpu.EventCoreCycles}
+	want := make([]*Profile, len(events))
+	for i, ev := range events {
+		prof, err := run(ev)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = prof
+	}
+	const perEvent = 3
+	var wg sync.WaitGroup
+	for g := 0; g < perEvent*len(events); g++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			prof, err := run(events[i])
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !reflect.DeepEqual(prof, want[i]) {
+				t.Errorf("%s: concurrent profile differs from the serial one", events[i])
+			}
+		}(g % len(events))
+	}
+	wg.Wait()
 }
