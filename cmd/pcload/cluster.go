@@ -20,7 +20,8 @@ import (
 // a direct single-node answer. The workload is the mixed rotation
 // (/measure, /analyze, /plan, /infer) fired at the front; then every
 // distinct request is fired once at the -direct node and the bodies
-// compared byte for byte. The report adds the routing view (attempts,
+// compared byte for byte, answers the front gave from its cache
+// included. The report adds the routing view (cache hits, attempts,
 // hedges, fleet state from the front's /healthz) and the encode-stage
 // share of the direct node's /measure p99 — the measurement behind the
 // pooled-encoder decision in docs/CLUSTER.md.
@@ -53,11 +54,11 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 	reference := directReference(directAddr, distinct, c)
 
 	var (
-		failures, divergent, multiAttempt, hedged, retried int
-		byEndpoint                                         = make(map[string][]time.Duration)
-		byBackend                                          = make(map[string]int)
-		attemptDist                                        = make(map[int]int)
-		all                                                []time.Duration
+		failures, divergent, multiAttempt, hedged, retried, hits int
+		byEndpoint                                               = make(map[string][]time.Duration)
+		byBackend                                                = make(map[string]int)
+		attemptDist                                              = make(map[int]int)
+		all                                                      []time.Duration
 	)
 	for _, out := range outcomes {
 		if out.err != nil || out.status != http.StatusOK {
@@ -66,18 +67,25 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 		}
 		all = append(all, out.latency)
 		byEndpoint[out.endpoint] = append(byEndpoint[out.endpoint], out.latency)
-		if out.attempts > 1 {
-			multiAttempt++
+		// A hit made no attempt, and its backend header names the node
+		// that produced the stored answer, not a winner: it stays out of
+		// the routing view but not out of the byte-identity check.
+		if out.hit {
+			hits++
+		} else {
+			if out.attempts > 1 {
+				multiAttempt++
+			}
+			if out.hedged {
+				hedged++
+			} else if out.attempts > 1 {
+				retried++
+			}
+			if out.backend != "" {
+				byBackend[out.backend]++
+			}
+			attemptDist[out.attempts]++
 		}
-		if out.hedged {
-			hedged++
-		} else if out.attempts > 1 {
-			retried++
-		}
-		if out.backend != "" {
-			byBackend[out.backend]++
-		}
-		attemptDist[out.attempts]++
 		ref, ok := reference[string(out.reqBody)]
 		if !ok {
 			failures++
@@ -103,6 +111,7 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 	for _, ep := range endpoints {
 		fmt.Fprintf(w, "  %-10s %s (n=%d)\n", ep+":", summarizeLatency(byEndpoint[ep]), len(byEndpoint[ep]))
 	}
+	fmt.Fprintf(w, "reuse:       %d/%d answered from the front's cache (%s: hit)\n", hits, len(outcomes), api.HeaderCache)
 	fmt.Fprintf(w, "routing:     %d multi-attempt, %d hedge-won (from response headers)\n", multiAttempt, hedged)
 	if len(all) > 0 {
 		fmt.Fprintf(w, "hedge rate:  %.1f%% (%d/%d); retry rate: %.1f%% (%d/%d)\n",
@@ -122,7 +131,7 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 		for i, name := range names {
 			parts[i] = fmt.Sprintf("%s=%d", name, byBackend[name])
 		}
-		fmt.Fprintf(w, "backends:    %s (winner per response)\n", strings.Join(parts, " "))
+		fmt.Fprintf(w, "backends:    %s (winner per forwarded response)\n", strings.Join(parts, " "))
 	}
 	if len(attemptDist) > 0 {
 		counts := make([]int, 0, len(attemptDist))
@@ -134,7 +143,7 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 		for i, a := range counts {
 			parts[i] = fmt.Sprintf("%dx%d", attemptDist[a], a)
 		}
-		fmt.Fprintf(w, "attempts:    %s (requests x attempts)\n", strings.Join(parts, " "))
+		fmt.Fprintf(w, "attempts:    %s (forwarded requests x attempts)\n", strings.Join(parts, " "))
 	}
 	reportFleet(w, frontAddr)
 
@@ -160,6 +169,7 @@ type clusterOutcome struct {
 	latency  time.Duration
 	attempts int
 	hedged   bool
+	hit      bool
 	backend  string
 	err      error
 }
@@ -218,6 +228,7 @@ func fireCluster(client *http.Client, addr string, item workItem) clusterOutcome
 		latency:  time.Since(start),
 		attempts: attempts,
 		hedged:   resp.Header.Get(api.HeaderHedged) == "true",
+		hit:      resp.Header.Get(api.HeaderCache) == "hit",
 		backend:  resp.Header.Get(api.HeaderBackend),
 		err:      err,
 	}

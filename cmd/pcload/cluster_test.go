@@ -58,6 +58,7 @@ func TestRunCluster(t *testing.T) {
 	for _, want := range []string{
 		"(0 failed)",
 		"byte-identity:",
+		"reuse:",
 		"fleet:",
 		"encode share:",
 	} {

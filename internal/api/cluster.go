@@ -37,7 +37,17 @@ const (
 	// HeaderRequestKey reports the canonical routing key pcfront hashed
 	// (omitted when the request did not canonicalize).
 	HeaderRequestKey = "X-Pcfront-Key"
+	// HeaderCache reports "hit" when pcfront answered from its answer
+	// cache: no backend attempt was made (HeaderAttempts is 0), and
+	// HeaderBackend names the node that produced the stored answer.
+	HeaderCache = "X-Pcfront-Cache"
 )
+
+// MaxBodyBytes bounds a request body on every hop: pcserved refuses a
+// larger body with 413 before decoding past the bound, and pcfront,
+// which buffers bodies to retry and hedge them, refuses it the same
+// way before forwarding.
+const MaxBodyBytes = 16 << 20
 
 // RequestKey returns the canonical identity of a request of any
 // endpoint type: the exact string the service coalesces identical
@@ -114,33 +124,48 @@ func RequestKey(req any) (string, error) {
 }
 
 // RequestKeyForPath decodes a raw JSON request body addressed to one
-// of the service's POST endpoints and returns its RequestKey. This is
-// the form pcfront uses: it proxies bodies opaquely and only needs the
-// canonical key to place them.
-func RequestKeyForPath(path string, body []byte) (string, error) {
-	key := func(req any) (string, error) {
-		if err := json.Unmarshal(body, req); err != nil {
-			return "", badf("api: decoding %s request: %v", path, err)
-		}
-		return RequestKey(req)
-	}
+// of the service's POST endpoints and returns its RequestKey, with
+// whether the body opts into tracing. This is the form pcfront uses: it
+// proxies bodies opaquely and needs both answers from one decode. Only
+// the four trace-capable endpoints (/measure, /analyze, /plan, /infer)
+// report a trace flag. The flag survives a body with a mistyped field
+// or one that fails validation: json.Unmarshal still fills the fields
+// it could, so an invalid traced request keeps its trace header across
+// the hop.
+func RequestKeyForPath(path string, body []byte) (key string, trace bool, err error) {
+	var (
+		req  any
+		flag *bool
+	)
 	switch path {
 	case "/measure":
-		return key(&MeasureRequest{})
+		r := &MeasureRequest{}
+		req, flag = r, &r.Trace
 	case "/analyze":
-		return key(&AnalyzeRequest{})
+		r := &AnalyzeRequest{}
+		req, flag = r, &r.Trace
 	case "/plan":
-		return key(&PlanRequest{})
+		r := &PlanRequest{}
+		req, flag = r, &r.Trace
 	case "/infer":
-		return key(&InferRequest{})
+		r := &InferRequest{}
+		req, flag = r, &r.Trace
 	case "/experiment":
-		return key(&ExperimentRequest{})
+		req = &ExperimentRequest{}
 	case "/sessions":
-		return key(&SessionRequest{})
+		req = &SessionRequest{}
 	case "/campaigns":
-		return key(&CampaignRequest{})
+		req = &CampaignRequest{}
+	default:
+		return "", false, fmt.Errorf("api: no keyed endpoint %q", path)
 	}
-	return "", fmt.Errorf("api: no keyed endpoint %q", path)
+	uerr := json.Unmarshal(body, req)
+	trace = flag != nil && *flag
+	if uerr != nil {
+		return "", trace, badf("api: decoding %s request: %v", path, uerr)
+	}
+	key, err = RequestKey(req)
+	return key, trace, err
 }
 
 // Cluster node states reported by pcfront's /healthz.

@@ -119,7 +119,7 @@ func TestRequestKeyForPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fromBody, err := RequestKeyForPath(tc.path, body)
+			fromBody, _, err := RequestKeyForPath(tc.path, body)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -133,11 +133,39 @@ func TestRequestKeyForPath(t *testing.T) {
 		})
 	}
 
-	if _, err := RequestKeyForPath("/measure", []byte(`{`)); !errors.Is(err, ErrBadRequest) {
+	if _, _, err := RequestKeyForPath("/measure", []byte(`{`)); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("malformed JSON: err = %v, want ErrBadRequest", err)
 	}
-	if _, err := RequestKeyForPath("/nonesuch", []byte(`{}`)); err == nil {
+	if _, _, err := RequestKeyForPath("/nonesuch", []byte(`{}`)); err == nil {
 		t.Fatal("unknown path accepted")
+	}
+}
+
+// TestRequestKeyForPathTrace: the trace flag comes from the same typed
+// decode as the key, only on the four trace-capable endpoints, and
+// survives a body that decodes but fails validation or typing.
+func TestRequestKeyForPathTrace(t *testing.T) {
+	for _, tc := range []struct {
+		path string
+		body string
+		want bool
+	}{
+		{"/measure", `{"trace": true, "metric": "instructions"}`, true},
+		{"/measure", `{"metric": "instructions"}`, false},
+		{"/measure", `{"trace": false}`, false},
+		{"/analyze", `{"trace": true}`, true},
+		{"/plan", `{"trace": true}`, true},
+		{"/infer", `{"trace": true}`, true},
+		{"/sessions", `{"trace": true}`, false}, // not trace-capable
+		{"/experiment", `{"trace": true}`, false},
+		{"/measure", `not json`, false},
+		{"/measure", ``, false},
+		{"/measure", `{"processor": "NOPE", "trace": true}`, true}, // invalid, still traced
+		{"/measure", `{"runs": "three", "trace": true}`, true},     // type error, still traced
+	} {
+		if _, got, _ := RequestKeyForPath(tc.path, []byte(tc.body)); got != tc.want {
+			t.Errorf("RequestKeyForPath(%q, %q) trace = %v, want %v", tc.path, tc.body, got, tc.want)
+		}
 	}
 }
 

@@ -113,22 +113,3 @@ func (t *TraceInfo) Shape() string {
 	}
 	return shape
 }
-
-// WantsTrace reports whether a raw request body addressed to path opts
-// into tracing. Only the four trace-capable endpoints are probed; the
-// decode looks at the one field and ignores the rest, so the front can
-// answer this without understanding the body.
-func WantsTrace(path string, body []byte) bool {
-	switch path {
-	case "/measure", "/analyze", "/plan", "/infer":
-	default:
-		return false
-	}
-	var probe struct {
-		Trace bool `json:"trace"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
-		return false
-	}
-	return probe.Trace
-}

@@ -15,15 +15,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// maxBody bounds a proxied request body: pcfront buffers bodies to
-// retry and hedge them, so a hostile client must not buffer gigabytes.
-const maxBody = 16 << 20
-
 // Front is the HTTP face of the cluster: the route table mirroring
-// pcserved's, the stream-owner pinning for stateful resources, and the
-// proxy's own telemetry.
+// pcserved's, the answer cache for repeated stateless requests, the
+// stream-owner pinning for stateful resources, and the proxy's own
+// telemetry.
 type Front struct {
 	c         *Cluster
+	answers   *answers
 	sessions  *owners
 	campaigns *owners
 	handler   http.Handler
@@ -49,6 +47,7 @@ func NewFront(cfg Config) (*Front, error) {
 	}
 	f := &Front{
 		c:         c,
+		answers:   newAnswers(answerCacheBytes),
 		sessions:  newOwners(4096),
 		campaigns: newOwners(4096),
 		reg:       telemetry.NewRegistry(),
@@ -96,22 +95,25 @@ func (f *Front) Handler() http.Handler { return f.handler }
 func (f *Front) Close() { f.c.Close() }
 
 // routes assembles the proxy mux. The keyed endpoints mirror
-// pcserved's POST surface; the stateful /sessions and /campaigns
-// resources add owner-pinned sub-routes; /healthz, /metrics, and the
-// /cluster admin routes are the proxy's own.
+// pcserved's POST surface, and the four stateless ones reuse answers;
+// the stateful /sessions and /campaigns resources add owner-pinned
+// sub-routes; /healthz, /metrics, and the /cluster admin routes are the
+// proxy's own.
 func (f *Front) routes() http.Handler {
 	mux := http.NewServeMux()
 	handle := func(pattern string, h http.HandlerFunc) {
 		mux.HandleFunc(pattern, f.instrument(endpointLabel(pattern), h))
 	}
-	for _, path := range []string{"/measure", "/analyze", "/plan", "/infer", "/experiment"} {
-		handle("POST "+path, f.keyed(path, true, nil))
+	for _, path := range []string{"/measure", "/analyze", "/plan", "/infer"} {
+		handle("POST "+path, f.keyed(path, true, f.answers, nil))
 	}
+	handle("POST /experiment", f.keyed("/experiment", true, nil, nil))
 	// Stateful creations route by configuration key for affinity but
 	// never hedge: a hedged create could mint two sessions, and the
-	// loser's cancel may land after the backend committed.
-	handle("POST /sessions", f.keyed("/sessions", false, f.sessions))
-	handle("POST /campaigns", f.keyed("/campaigns", false, f.campaigns))
+	// loser's cancel may land after the backend committed. Nor are they
+	// ever answered from the cache: each create must reach a node.
+	handle("POST /sessions", f.keyed("/sessions", false, nil, f.sessions))
+	handle("POST /campaigns", f.keyed("/campaigns", false, nil, f.campaigns))
 	handle("GET /sessions/{id}", f.owned("sessions", f.sessions, false))
 	handle("GET /sessions/{id}/stream", f.owned("sessions", f.sessions, true))
 	handle("DELETE /sessions/{id}", f.owned("sessions", f.sessions, false))
@@ -164,22 +166,39 @@ func (f *Front) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc
 // anyway under a raw-bytes key: the backend is the single source of
 // error-body truth, so even a 400 is byte-identical to a direct
 // answer.
-func (f *Front) keyed(path string, hedge bool, record *owners) http.HandlerFunc {
+//
+// With a cache, a canonical untraced request is first looked up there
+// and, on a miss, its forwarded 200 or 400 answer is offered to it:
+// those are deterministic verdicts on the request, the same from every
+// node. A raw-keyed body is never looked up or stored, and neither is
+// a traced one: its stitched tree needs a live backend subtree, and
+// traced and untraced twins share one key.
+func (f *Front) keyed(path string, hedge bool, cache *answers, record *owners) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBody+1))
+		body, err := io.ReadAll(io.LimitReader(r.Body, api.MaxBodyBytes+1))
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("reading request: %w", err))
 			return
 		}
-		if len(body) > maxBody {
-			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBody))
+		if len(body) > api.MaxBodyBytes {
+			writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", api.MaxBodyBytes))
 			return
 		}
-		key, kerr := api.RequestKeyForPath(path, body)
+		key, traced, kerr := api.RequestKeyForPath(path, body)
 		if kerr != nil {
 			key = "raw|" + strconv.FormatUint(hashKey(string(body)), 16)
 		}
-		traced := api.WantsTrace(path, body)
+		// The cache key is the path plus the full canonical key, never
+		// its hash: a hash collision must not serve another request's
+		// answer. It stays empty when the request may not reuse.
+		var ckey string
+		if cache != nil && kerr == nil && !traced {
+			ckey = path + " " + key
+			if a := cache.get(ckey); a != nil {
+				writeAnswer(w, a, key)
+				return
+			}
+		}
 		if traced {
 			// Mark the hop traced: the backend echoes its span trace in
 			// the X-Pc-Trace-Spans response header (error bodies included)
@@ -201,6 +220,9 @@ func (f *Front) keyed(path string, hedge bool, record *owners) http.HandlerFunc 
 				resp = &backendResponse{status: resp.status, header: resp.header,
 					body: withStitchedTrace(resp.body, stitched)}
 			}
+		}
+		if ckey != "" && (resp.status == http.StatusOK || resp.status == http.StatusBadRequest) {
+			cache.put(ckey, resp.status, resp.header.Get("Content-Type"), info.Backend, resp.body)
 		}
 		if record != nil && resp.status == http.StatusCreated {
 			var created struct {
@@ -522,6 +544,17 @@ func (f *Front) writeOwnMetrics(w io.Writer) {
 	e.Family("pcfront_stream_owners", "Pinned stream routes tracked, by kind.", "gauge")
 	e.Sample(float64(f.sessions.len()), label("kind", "sessions"))
 	e.Sample(float64(f.campaigns.len()), label("kind", "campaigns"))
+	a := f.answers.stats()
+	e.Family("pcfront_answer_cache_hits_total", "Keyed requests answered from the answer cache, with no backend attempt.", "counter")
+	e.Sample(float64(a.hits))
+	e.Family("pcfront_answer_cache_misses_total", "Cacheable requests (canonical, untraced /measure, /analyze, /plan, /infer) that missed the answer cache.", "counter")
+	e.Sample(float64(a.misses))
+	e.Family("pcfront_answer_cache_evictions_total", "Answers evicted to keep the answer cache within its byte bound.", "counter")
+	e.Sample(float64(a.evictions))
+	e.Family("pcfront_answer_cache_bytes", "Bytes the answer cache is charged: keys, content types, bodies and a fixed per-entry overhead.", "gauge")
+	e.Sample(float64(a.bytes))
+	e.Family("pcfront_answer_cache_entries", "Answers the answer cache holds.", "gauge")
+	e.Sample(float64(a.entries))
 	f.runtime.Write(e)
 }
 
@@ -643,6 +676,21 @@ func writeProxied(w http.ResponseWriter, resp *backendResponse, info RouteInfo, 
 	}
 	w.WriteHeader(resp.status)
 	w.Write(resp.body)
+}
+
+// writeAnswer sends a stored answer: its body verbatim under its stored
+// content type, zero attempts, the cache-hit header, and the node that
+// produced it as the backend.
+func writeAnswer(w http.ResponseWriter, a *answer, key string) {
+	if a.contentType != "" {
+		w.Header().Set("Content-Type", a.contentType)
+	}
+	w.Header().Set(api.HeaderBackend, a.backend)
+	w.Header().Set(api.HeaderAttempts, "0")
+	w.Header().Set(api.HeaderCache, "hit")
+	w.Header().Set(api.HeaderRequestKey, strconv.FormatUint(hashKey(key), 16))
+	w.WriteHeader(a.status)
+	w.Write(a.body)
 }
 
 // writeJSON writes v as the JSON response body.

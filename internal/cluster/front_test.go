@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -128,11 +129,12 @@ func TestFrontByteIdentity(t *testing.T) {
 
 // TestFrontAffinity: identical requests land on the ring owner every
 // time, so the owning node's coalescing and calibration cache see every
-// twin.
+// twin. The first two are forwarded there; from the third on the front
+// answers from its cache, naming the owner that produced the answer.
 func TestFrontAffinity(t *testing.T) {
 	f, front, _ := newFleet(t, 3, nil)
 	body, _ := json.Marshal(measureReq(3))
-	key, err := api.RequestKeyForPath("/measure", body)
+	key, _, err := api.RequestKeyForPath("/measure", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,12 +150,22 @@ func TestFrontAffinity(t *testing.T) {
 		if resp.Header.Get(api.HeaderRequestKey) == "" {
 			t.Error("missing request-key header")
 		}
+		cache, attempts := resp.Header.Get(api.HeaderCache), resp.Header.Get(api.HeaderAttempts)
+		if i < 2 && (cache != "" || attempts != "1") {
+			t.Fatalf("request %d: cache %q, attempts %s; want forwarded once", i+1, cache, attempts)
+		}
+		if i >= 2 && (cache != "hit" || attempts != "0") {
+			t.Fatalf("request %d: cache %q, attempts %s; want a hit", i+1, cache, attempts)
+		}
 	}
 }
 
 // TestFrontNodeKill: killing one backend mid-run loses zero requests —
 // transport failovers are free and eject the dead node from the ring,
-// and every answer stays byte-identical to the pre-kill answer.
+// and every answer stays byte-identical to the pre-kill answer. The
+// pre-kill answers come straight from a surviving backend, so the
+// front first sees each body after the kill and cannot answer it from
+// its cache.
 func TestFrontNodeKill(t *testing.T) {
 	f, front, backends := newFleet(t, 3, func(c *Config) { c.FailAfter = 1 })
 	// The ring places keys by the backends' OS-picked ports, so keep
@@ -168,7 +180,7 @@ func TestFrontNodeKill(t *testing.T) {
 		}
 		req := measureReq(runs)
 		body, _ := json.Marshal(req)
-		key, err := api.RequestKeyForPath("/measure", body)
+		key, _, err := api.RequestKeyForPath("/measure", body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,7 +189,7 @@ func TestFrontNodeKill(t *testing.T) {
 	}
 	before := make([][]byte, len(reqs))
 	for i, req := range reqs {
-		resp, data := postJSON(t, front.URL+"/measure", req)
+		resp, data := postJSON(t, backends[0].URL+"/measure", req)
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("pre-kill request %d: status %d: %s", i, resp.StatusCode, data)
 		}
@@ -193,7 +205,10 @@ func TestFrontNodeKill(t *testing.T) {
 		if !bytes.Equal(data, before[i]) {
 			t.Fatalf("post-kill request %d diverges:\n%s\nvs\n%s", i, data, before[i])
 		}
-		if resp.Header.Get(api.HeaderAttempts) != "1" {
+		if resp.Header.Get(api.HeaderCache) != "" {
+			t.Fatalf("post-kill request %d: first sighting answered from the cache", i)
+		}
+		if attempts, _ := strconv.Atoi(resp.Header.Get(api.HeaderAttempts)); attempts > 1 {
 			failovers++
 		}
 	}
@@ -238,7 +253,7 @@ func TestFrontHedging(t *testing.T) {
 	for runs := 1; runs <= 100 && !found; runs++ {
 		req = measureReq(runs)
 		body, _ := json.Marshal(req)
-		key, err := api.RequestKeyForPath("/measure", body)
+		key, _, err := api.RequestKeyForPath("/measure", body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -299,7 +314,7 @@ func TestFrontRetryOn5xx(t *testing.T) {
 	for runs := 1; runs <= 200 && len(reqs) < 2; runs++ {
 		r := measureReq(runs)
 		body, _ := json.Marshal(r)
-		key, err := api.RequestKeyForPath("/measure", body)
+		key, _, err := api.RequestKeyForPath("/measure", body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -539,6 +554,11 @@ func TestFrontHealthzAndMetrics(t *testing.T) {
 		"pcfront_backend_state",
 		"pcfront_hedged_requests_total",
 		"pcfront_stream_owners",
+		"pcfront_answer_cache_hits_total",
+		"pcfront_answer_cache_misses_total",
+		"pcfront_answer_cache_evictions_total",
+		"pcfront_answer_cache_bytes",
+		"pcfront_answer_cache_entries",
 	} {
 		if !bytes.Contains(text, []byte(family)) {
 			t.Errorf("metrics missing family %s", family)

@@ -234,7 +234,7 @@ func TestFrontHedgeLoserSpanIsolation(t *testing.T) {
 		req = measureReq(runs)
 		req.Trace = true
 		body, _ := json.Marshal(req)
-		key, err := api.RequestKeyForPath("/measure", body)
+		key, _, err := api.RequestKeyForPath("/measure", body)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -201,16 +201,22 @@ func newHandler(svc *service.Service, reg *monitor.Registry, creg *campaign.Regi
 }
 
 // handleJSON is the one shape every JSON endpoint shares: decode the
-// body (a malformed body is always the client's fault), run the
-// handler, map its error to a status with the given policy, and write
-// either the api.Error body or the response at the success code. One
-// helper means every endpoint emits the same error shape.
+// body (a malformed body is always the client's fault; one past
+// api.MaxBodyBytes is refused with 413), run the handler, map its error
+// to a status with the given policy, and write either the api.Error
+// body or the response at the success code. One helper means every
+// endpoint emits the same error shape.
 func handleJSON[Req, Resp any](status func(error) int, code int, do func(*http.Request, Req) (Resp, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tr := telemetry.FromContext(r.Context())
 		pstart := tr.Clock()
 		var req Req
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, api.MaxBodyBytes)).Decode(&req); err != nil {
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
+				return
+			}
 			writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
 			return
 		}

@@ -229,6 +229,56 @@ func TestErrorShapeUniform(t *testing.T) {
 	}
 }
 
+// TestBodyBound: a body of exactly api.MaxBodyBytes is decoded as
+// usual and answered byte-identically to its compact form; one byte
+// more is refused with 413 in the api.Error shape. The padding is
+// whitespace inside the JSON object, so the decoder must read all of
+// it before the value ends.
+func TestBodyBound(t *testing.T) {
+	srv := newTestServer(t)
+	compact, err := json.Marshal(api.MeasureRequest{
+		Processor: "K8", Stack: "pc", Bench: "loop:1000", Pattern: "rr", Runs: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	padded := func(size int) []byte {
+		b := make([]byte, 0, size)
+		b = append(b, '{')
+		b = append(b, bytes.Repeat([]byte{' '}, size-len(compact))...)
+		return append(b, compact[1:]...)
+	}
+	send := func(body []byte) (int, []byte) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/measure", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, data
+	}
+
+	status, want := send(compact)
+	if status != http.StatusOK {
+		t.Fatalf("compact body: status %d: %s", status, want)
+	}
+	if status, got := send(padded(api.MaxBodyBytes)); status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("body at the bound: status %d, answer differs from the compact body's:\n%s\nvs\n%s", status, got, want)
+	}
+	status, body := send(padded(api.MaxBodyBytes + 1))
+	if status != http.StatusRequestEntityTooLarge {
+		t.Fatalf("body past the bound: status %d (%s), want 413", status, body)
+	}
+	var e api.Error
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		t.Fatalf("413 body not the api.Error shape: %s", body)
+	}
+}
+
 func TestMeasureCarriesAccuracyAnnotation(t *testing.T) {
 	srv := newTestServer(t)
 	status, body := post(t, srv.URL+"/measure", api.MeasureRequest{
