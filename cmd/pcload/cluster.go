@@ -5,14 +5,16 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/telemetry"
 )
 
 // runCluster drives a pcfront cluster and proves the cluster contract
@@ -29,18 +31,17 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 	if directAddr == "" {
 		return fmt.Errorf("-cluster needs -direct, the single pcserved node to cross-check against")
 	}
-	if c <= 0 {
-		return fmt.Errorf("-c must be positive (got %d)", c)
-	}
-	if n < 0 {
-		return fmt.Errorf("-n must be non-negative (got %d)", n)
+	if err := checkCounts(c, "-n", n); err != nil {
+		return err
 	}
 	plan, err := buildMixedPlan(mixSpec, n, runs)
 	if err != nil {
 		return err
 	}
 
-	outcomes, elapsed := executeCluster(frontAddr, plan, c)
+	// Every body is captured, success or error: error bodies are part of
+	// the byte-identity contract too.
+	outcomes, elapsed := executePlan(frontAddr, plan, c)
 
 	// Direct reference pass: one request per distinct body. The direct
 	// node computes each answer independently; determinism is what makes
@@ -48,7 +49,7 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 	distinct := make(map[string]string) // request body -> endpoint
 	for _, out := range outcomes {
 		if out.err == nil {
-			distinct[string(out.reqBody)] = out.endpoint
+			distinct[string(out.sent)] = out.endpoint
 		}
 	}
 	reference := directReference(directAddr, distinct, c)
@@ -70,23 +71,24 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 		// A hit made no attempt, and its backend header names the node
 		// that produced the stored answer, not a winner: it stays out of
 		// the routing view but not out of the byte-identity check.
-		if out.hit {
+		if out.header.Get(api.HeaderCache) == "hit" {
 			hits++
 		} else {
-			if out.attempts > 1 {
+			attempts, _ := strconv.Atoi(out.header.Get(api.HeaderAttempts))
+			if attempts > 1 {
 				multiAttempt++
 			}
-			if out.hedged {
+			if out.header.Get(api.HeaderHedged) == "true" {
 				hedged++
-			} else if out.attempts > 1 {
+			} else if attempts > 1 {
 				retried++
 			}
-			if out.backend != "" {
-				byBackend[out.backend]++
+			if backend := out.header.Get(api.HeaderBackend); backend != "" {
+				byBackend[backend]++
 			}
-			attemptDist[out.attempts]++
+			attemptDist[attempts]++
 		}
-		ref, ok := reference[string(out.reqBody)]
+		ref, ok := reference[string(out.sent)]
 		if !ok {
 			failures++
 			continue
@@ -97,20 +99,8 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 	}
 
 	fmt.Fprintf(w, "cluster:     front=%s direct=%s\n", frontAddr, directAddr)
-	fmt.Fprintf(w, "requests:    %d (%d failed)\n", len(outcomes), failures)
-	fmt.Fprintf(w, "elapsed:     %v\n", elapsed.Round(time.Millisecond))
-	if len(all) > 0 && elapsed > 0 {
-		fmt.Fprintf(w, "throughput:  %.1f req/s\n", float64(len(all))/elapsed.Seconds())
-	}
-	fmt.Fprintf(w, "latency:     %s\n", summarizeLatency(all))
-	endpoints := make([]string, 0, len(byEndpoint))
-	for ep := range byEndpoint {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		fmt.Fprintf(w, "  %-10s %s (n=%d)\n", ep+":", summarizeLatency(byEndpoint[ep]), len(byEndpoint[ep]))
-	}
+	reportHead(w, "requests", "req", len(outcomes), failures, elapsed, all)
+	reportEndpoints(w, byEndpoint, "")
 	fmt.Fprintf(w, "reuse:       %d/%d answered from the front's cache (%s: hit)\n", hits, len(outcomes), api.HeaderCache)
 	fmt.Fprintf(w, "routing:     %d multi-attempt, %d hedge-won (from response headers)\n", multiAttempt, hedged)
 	if len(all) > 0 {
@@ -159,115 +149,25 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 	return nil
 }
 
-// clusterOutcome is one front-routed request with the proxy's routing
-// metadata read back from the response headers.
-type clusterOutcome struct {
-	endpoint string
-	reqBody  []byte
-	body     []byte
-	status   int
-	latency  time.Duration
-	attempts int
-	hedged   bool
-	hit      bool
-	backend  string
-	err      error
-}
-
-// executeCluster fires the plan at the front through c workers,
-// capturing complete bodies (success or error — error bodies are part
-// of the byte-identity contract too) and the X-Pcfront-* headers.
-func executeCluster(frontAddr string, plan []workItem, c int) ([]clusterOutcome, time.Duration) {
-	client := &http.Client{Timeout: 60 * time.Second}
-	work := make(chan workItem)
-	results := make(chan clusterOutcome, len(plan))
-	var wg sync.WaitGroup
-	for i := 0; i < c; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for item := range work {
-				results <- fireCluster(client, frontAddr, item)
-			}
-		}()
-	}
-	start := time.Now()
-	for _, item := range plan {
-		work <- item
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(results)
-	out := make([]clusterOutcome, 0, len(plan))
-	for res := range results {
-		out = append(out, res)
-	}
-	return out, elapsed
-}
-
-func fireCluster(client *http.Client, addr string, item workItem) clusterOutcome {
-	path := item.endpoint()
-	reqBody, err := json.Marshal(item.payload())
-	if err != nil {
-		return clusterOutcome{endpoint: path, err: err}
-	}
-	start := time.Now()
-	resp, err := client.Post(addr+path, "application/json", bytes.NewReader(reqBody))
-	if err != nil {
-		return clusterOutcome{endpoint: path, reqBody: reqBody, err: err}
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	attempts, _ := strconv.Atoi(resp.Header.Get(api.HeaderAttempts))
-	return clusterOutcome{
-		endpoint: path,
-		reqBody:  reqBody,
-		body:     body,
-		status:   resp.StatusCode,
-		latency:  time.Since(start),
-		attempts: attempts,
-		hedged:   resp.Header.Get(api.HeaderHedged) == "true",
-		hit:      resp.Header.Get(api.HeaderCache) == "hit",
-		backend:  resp.Header.Get(api.HeaderBackend),
-		err:      err,
-	}
-}
-
 // directReference fires each distinct request once at the direct node
 // and returns its body per request body.
 func directReference(addr string, distinct map[string]string, c int) map[string][]byte {
-	type job struct{ body, endpoint string }
 	client := &http.Client{Timeout: 60 * time.Second}
-	work := make(chan job)
-	var mu sync.Mutex
-	out := make(map[string][]byte, len(distinct))
-	var wg sync.WaitGroup
-	for i := 0; i < c; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range work {
-				resp, err := client.Post(addr+j.endpoint, "application/json", strings.NewReader(j.body))
-				if err != nil {
-					continue
-				}
-				data, err := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if err != nil {
-					continue
-				}
-				mu.Lock()
-				out[j.body] = data
-				mu.Unlock()
-			}
-		}()
-	}
+	type job struct{ body, endpoint string }
+	jobs := make([]job, 0, len(distinct))
 	for body, endpoint := range distinct {
-		work <- job{body: body, endpoint: endpoint}
+		jobs = append(jobs, job{body, endpoint})
 	}
-	close(work)
-	wg.Wait()
+	replies, _ := drive(jobs, c, func(j job) outcome {
+		rep, err := post(client, addr, j.endpoint, json.RawMessage(j.body))
+		return outcome{reply: rep, err: err}
+	})
+	out := make(map[string][]byte, len(replies))
+	for _, rep := range replies {
+		if rep.err == nil {
+			out[string(rep.sent)] = rep.body
+		}
+	}
 	return out
 }
 
@@ -330,35 +230,34 @@ func reportEncodeShare(w io.Writer, addr string) {
 // promHistogramP99 computes an upper-bound p99 from a Prometheus
 // histogram's cumulative buckets in text exposition: the smallest
 // bucket boundary covering 99% of observations, linearly interpolated
-// within the bucket. Matches lines of the given family whose label set
-// contains labelPair.
+// within the bucket. Matches samples named family whose label set
+// contains labelPair (name="value").
 func promHistogramP99(text []byte, family, labelPair string) (float64, bool) {
+	fams, err := telemetry.ParseExposition(bytes.NewReader(text))
+	if err != nil {
+		return 0, false
+	}
+	name, value, _ := strings.Cut(labelPair, "=")
+	value = strings.Trim(value, `"`)
 	type bucket struct {
 		le    float64
 		count float64
 	}
 	var buckets []bucket
-	for _, line := range strings.Split(string(text), "\n") {
-		if !strings.HasPrefix(line, family+"{") {
-			continue
+	for _, fam := range fams {
+		for _, s := range fam.Samples {
+			if s.Name != family || !slices.Contains(s.Labels, telemetry.Annotation{Key: name, Value: value}) {
+				continue
+			}
+			for _, l := range s.Labels {
+				if l.Key != "le" {
+					continue
+				}
+				if le, err := strconv.ParseFloat(l.Value, 64); err == nil {
+					buckets = append(buckets, bucket{le: le, count: s.Value})
+				}
+			}
 		}
-		labels, value, ok := cutPromLine(line, family)
-		if !ok || !strings.Contains(labels, labelPair) {
-			continue
-		}
-		leStr, ok := promLabel(labels, "le")
-		if !ok {
-			continue
-		}
-		le, err := parsePromFloat(leStr)
-		if err != nil {
-			continue
-		}
-		count, err := strconv.ParseFloat(value, 64)
-		if err != nil {
-			continue
-		}
-		buckets = append(buckets, bucket{le: le, count: count})
 	}
 	if len(buckets) == 0 {
 		return 0, false
@@ -372,7 +271,7 @@ func promHistogramP99(text []byte, family, labelPair string) (float64, bool) {
 	prevLe, prevCount := 0.0, 0.0
 	for _, b := range buckets {
 		if b.count >= target {
-			if b.le > 1e300 { // the +Inf bucket: no upper bound to interpolate to
+			if math.IsInf(b.le, 1) { // no upper bound to interpolate to
 				return prevLe, true
 			}
 			if b.count == prevCount {
@@ -384,33 +283,4 @@ func promHistogramP99(text []byte, family, labelPair string) (float64, bool) {
 		prevLe, prevCount = b.le, b.count
 	}
 	return buckets[len(buckets)-1].le, true
-}
-
-// cutPromLine splits `family{labels} value` into its labels and value.
-func cutPromLine(line, family string) (labels, value string, ok bool) {
-	rest := strings.TrimPrefix(line, family+"{")
-	end := strings.Index(rest, "}")
-	if end < 0 {
-		return "", "", false
-	}
-	return rest[:end], strings.TrimSpace(rest[end+1:]), true
-}
-
-// promLabel extracts one label's value from a serialized label set.
-func promLabel(labels, name string) (string, bool) {
-	for _, part := range strings.Split(labels, ",") {
-		k, v, ok := strings.Cut(part, "=")
-		if ok && k == name {
-			return strings.Trim(v, `"`), true
-		}
-	}
-	return "", false
-}
-
-// parsePromFloat parses a bucket boundary, accepting "+Inf".
-func parsePromFloat(s string) (float64, error) {
-	if s == "+Inf" {
-		return 1e308, nil
-	}
-	return strconv.ParseFloat(s, 64)
 }

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -36,47 +34,28 @@ type clusterTraceOutcome struct {
 //     answer, and the cluster contract survives the trace rewrite.
 func fireClusterTracePair(client *http.Client, frontAddr, directAddr string, item workItem, frontCat, nodeCat map[string]bool) clusterTraceOutcome {
 	out := clusterTraceOutcome{endpoint: item.endpoint()}
-	post := func(addr string, payload any) ([]byte, error) {
-		body, err := json.Marshal(payload)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := client.Post(addr+item.endpoint(), "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("%s: status %d: %s", item.endpoint(), resp.StatusCode, data)
-		}
-		return data, nil
-	}
 	fail := func(format string, args ...any) clusterTraceOutcome {
 		out.err = fmt.Errorf("%s: "+format, append([]any{item.endpoint()}, args...)...)
 		return out
 	}
 
-	plain, err := post(frontAddr, item.payload())
+	plain, err := postOK(client, frontAddr, item.endpoint(), item.payload())
 	if err != nil {
 		out.err = err
 		return out
 	}
-	traced, err := post(frontAddr, withTrace(item))
+	traced, err := postOK(client, frontAddr, item.endpoint(), withTrace(item))
 	if err != nil {
 		out.err = err
 		return out
 	}
-	direct, err := post(directAddr, withTrace(item))
+	direct, err := postOK(client, directAddr, item.endpoint(), withTrace(item))
 	if err != nil {
 		out.err = err
 		return out
 	}
 
-	plainStripped, plainTrace, err := stripTraceBlock(plain)
+	plainStripped, plainTrace, err := stripTraceBlock(plain.body)
 	if err != nil {
 		out.err = err
 		return out
@@ -84,7 +63,7 @@ func fireClusterTracePair(client *http.Client, frontAddr, directAddr string, ite
 	if plainTrace != nil {
 		return fail("untraced response through the front carries a trace block")
 	}
-	tracedStripped, stitched, err := stripTraceBlock(traced)
+	tracedStripped, stitched, err := stripTraceBlock(traced.body)
 	if err != nil {
 		out.err = err
 		return out
@@ -92,7 +71,7 @@ func fireClusterTracePair(client *http.Client, frontAddr, directAddr string, ite
 	if stitched == nil || len(stitched.Spans) == 0 {
 		return fail("traced response has no stitched spans")
 	}
-	directStripped, directTrace, err := stripTraceBlock(direct)
+	directStripped, directTrace, err := stripTraceBlock(direct.body)
 	if err != nil {
 		out.err = err
 		return out
@@ -158,11 +137,8 @@ func runClusterTrace(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, r
 	if directAddr == "" {
 		return fmt.Errorf("-cluster -trace needs -direct, the single pcserved node to cross-check against")
 	}
-	if c <= 0 {
-		return fmt.Errorf("-c must be positive (got %d)", c)
-	}
-	if n < 0 {
-		return fmt.Errorf("-n must be non-negative (got %d)", n)
+	if err := checkCounts(c, "-n", n); err != nil {
+		return err
 	}
 	plan, err := buildMixedPlan(mixSpec, n, runs)
 	if err != nil {
@@ -176,32 +152,14 @@ func runClusterTrace(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, r
 		nodeCat[name] = true
 	}
 
-	work := make(chan workItem)
-	results := make(chan clusterTraceOutcome, len(plan))
 	client := &http.Client{Timeout: 60 * time.Second}
-	var wg sync.WaitGroup
-	for i := 0; i < c; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for item := range work {
-				results <- fireClusterTracePair(client, frontAddr, directAddr, item, frontCat, nodeCat)
-			}
-		}()
-	}
-	start := time.Now()
-	for _, item := range plan {
-		work <- item
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(results)
+	results, elapsed := drive(plan, c, func(item workItem) clusterTraceOutcome {
+		return fireClusterTracePair(client, frontAddr, directAddr, item, frontCat, nodeCat)
+	})
 
-	var total, failures, spans int
+	var failures, spans int
 	var firstErr error
-	for res := range results {
-		total++
+	for _, res := range results {
 		if res.err != nil {
 			failures++
 			if firstErr == nil {
@@ -212,7 +170,7 @@ func runClusterTrace(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, r
 		spans += res.spans
 	}
 	fmt.Fprintf(w, "cluster trace: front=%s direct=%s\n", frontAddr, directAddr)
-	fmt.Fprintf(w, "checks:      %d (%d failed)\n", total, failures)
+	fmt.Fprintf(w, "checks:      %d (%d failed)\n", len(results), failures)
 	fmt.Fprintf(w, "elapsed:     %v\n", elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "front spans: %d across all stitched trees\n", spans)
 	if failures > 0 {

@@ -1,12 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -25,41 +23,30 @@ type enginePair struct {
 // engines' responses compare byte-identically when the measurements do.
 type engineOutcome struct {
 	key     string
-	engine  string
 	latency time.Duration
 	status  int
 	err     error
 	body    string
 }
 
-// buildEnginePairs expands the mix into n configurations cycling
-// benchmarks, patterns, and seeds — the same rotation as the measure
-// workload, minus calibration (identical across engines by
-// construction, and slow).
+// buildEnginePairs expands the mix into n configurations by the
+// default workload's rotation of benchmarks, patterns, and seeds, minus
+// calibration (identical across engines by construction, and slow).
 func buildEnginePairs(mixSpec string, n, runs, seeds int) ([]enginePair, error) {
-	configs, err := parseMix(mixSpec)
-	if err != nil {
-		return nil, err
-	}
 	if seeds <= 0 {
 		return nil, fmt.Errorf("-seeds must be positive (got %d)", seeds)
 	}
-	benches := []string{"loop:1000", "loop:10000", "null", "array:500"}
-	patterns := []string{"ar", "ao", "rr", "ro"}
-	pairs := make([]enginePair, 0, n)
-	for i := 0; i < n; i++ {
-		req := configs[i%len(configs)]
-		req.Runs = runs
-		req.Bench = benches[(i/len(configs))%len(benches)]
-		req.Pattern = patterns[(i/(len(configs)*len(benches)))%len(patterns)]
-		if len(req.Stack) > 1 && req.Stack[:2] == "PH" && (req.Pattern == "rr" || req.Pattern == "ro") {
-			req.Pattern = "ar"
-		}
-		req.Seed = uint64(1 + i%seeds)
-		pairs = append(pairs, enginePair{
+	plan, err := buildPlan(mixSpec, n, runs, seeds, false, false)
+	if err != nil {
+		return nil, err
+	}
+	pairs := make([]enginePair, len(plan))
+	for i, item := range plan {
+		req := item.req
+		pairs[i] = enginePair{
 			key: fmt.Sprintf("%s/%s/%s/%s/s%d", req.Processor, req.Stack, req.Bench, req.Pattern, req.Seed),
 			req: req,
-		})
+		}
 	}
 	return pairs, nil
 }
@@ -69,11 +56,8 @@ func buildEnginePairs(mixSpec string, n, runs, seeds int) ([]enginePair, error) 
 // compiled engine, concurrently, and the two responses must be
 // byte-identical once the echoed engine selector is cleared.
 func runEngine(w io.Writer, addr, mixSpec string, n, c, runs, seeds int) error {
-	if c <= 0 {
-		return fmt.Errorf("-c must be positive (got %d)", c)
-	}
-	if n < 0 {
-		return fmt.Errorf("-n must be non-negative (got %d)", n)
+	if err := checkCounts(c, "-n", n); err != nil {
+		return err
 	}
 	pairs, err := buildEnginePairs(mixSpec, n, runs, seeds)
 	if err != nil {
@@ -84,32 +68,16 @@ func runEngine(w io.Writer, addr, mixSpec string, n, c, runs, seeds int) error {
 		pair   enginePair
 		engine string
 	}
-	work := make(chan shot)
-	results := make(chan engineOutcome, 2*len(pairs))
-	client := &http.Client{Timeout: 60 * time.Second}
-
-	var wg sync.WaitGroup
-	for i := 0; i < c; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range work {
-				results <- fireEngine(client, addr, s.pair, s.engine)
-			}
-		}()
-	}
-	start := time.Now()
+	// The two engines of a pair are queued back to back so they race
+	// on the same shard's workers under load.
+	shots := make([]shot, 0, 2*len(pairs))
 	for _, p := range pairs {
-		// Interleave the two engines of a pair immediately so they race
-		// on the same shard's workers under load.
-		work <- shot{pair: p, engine: api.EngineInterpreter}
-		work <- shot{pair: p, engine: api.EngineCompiled}
+		shots = append(shots, shot{p, api.EngineInterpreter}, shot{p, api.EngineCompiled})
 	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(results)
-
+	client := &http.Client{Timeout: 60 * time.Second}
+	results, elapsed := drive(shots, c, func(s shot) engineOutcome {
+		return fireEngine(client, addr, s.pair, s.engine)
+	})
 	return reportEngine(w, results, elapsed)
 }
 
@@ -119,29 +87,13 @@ func runEngine(w io.Writer, addr, mixSpec string, n, c, runs, seeds int) error {
 func fireEngine(client *http.Client, addr string, pair enginePair, engine string) engineOutcome {
 	req := pair.req
 	req.Engine = engine
-	body, err := json.Marshal(req)
-	if err != nil {
-		return engineOutcome{key: pair.key, engine: engine, err: err}
-	}
-	start := time.Now()
-	resp, err := client.Post(addr+"/measure", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return engineOutcome{key: pair.key, engine: engine, err: err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	out := engineOutcome{
-		key:     pair.key,
-		engine:  engine,
-		latency: time.Since(start),
-		status:  resp.StatusCode,
-		err:     err,
-	}
-	if err != nil || resp.StatusCode != http.StatusOK {
+	rep, err := post(client, addr, "/measure", req)
+	out := engineOutcome{key: pair.key, latency: rep.latency, status: rep.status, err: err}
+	if err != nil || rep.status != http.StatusOK {
 		return out
 	}
 	var mr api.MeasureResponse
-	if err := json.Unmarshal(data, &mr); err != nil {
+	if err := json.Unmarshal(rep.body, &mr); err != nil {
 		out.err = err
 		return out
 	}
@@ -155,57 +107,34 @@ func fireEngine(client *http.Client, addr string, pair enginePair, engine string
 	return out
 }
 
-// reportEngine prints throughput and latency and fails on any pair
-// whose engines disagreed.
-func reportEngine(w io.Writer, results <-chan engineOutcome, elapsed time.Duration) error {
+// reportEngine prints throughput and latency and fails on any
+// configuration whose engines disagreed. Every answer for one
+// configuration must be the same bytes: the two engines', and any
+// repetition's, by the determinism contract.
+func reportEngine(w io.Writer, results []engineOutcome, elapsed time.Duration) error {
 	var (
-		all             []time.Duration
-		failures, total int
-		byKey           = make(map[string]map[string]string) // key -> engine -> body
-		divergent       []string
+		all      []time.Duration
+		failures int
+		byKey    = newTally() // configuration key -> normalized body
 	)
-	for res := range results {
-		total++
+	for _, res := range results {
 		if res.err != nil || res.status != http.StatusOK {
 			failures++
 			continue
 		}
 		all = append(all, res.latency)
-		if byKey[res.key] == nil {
-			byKey[res.key] = make(map[string]string)
-		}
-		// Identical configurations repeat across pairs only with equal
-		// bodies, so last-write-wins is safe; the comparison below is
-		// between engines, not repetitions.
-		byKey[res.key][res.engine] = res.body
-	}
-	pairs := 0
-	for key, engines := range byKey {
-		i, okI := engines[api.EngineInterpreter]
-		c, okC := engines[api.EngineCompiled]
-		if !okI || !okC {
-			continue
-		}
-		pairs++
-		if i != c {
-			divergent = append(divergent, key)
-		}
+		byKey.add(res.key, res.body)
 	}
 
-	fmt.Fprintf(w, "requests:    %d (%d failed)\n", total, failures)
-	fmt.Fprintf(w, "elapsed:     %v\n", elapsed.Round(time.Millisecond))
-	if len(all) > 0 && elapsed > 0 {
-		fmt.Fprintf(w, "throughput:  %.1f req/s\n", float64(len(all))/elapsed.Seconds())
-	}
-	fmt.Fprintf(w, "latency:     %s\n", summarizeLatency(all))
-	if len(divergent) > 0 {
+	reportHead(w, "requests", "req", len(results), failures, elapsed, all)
+	if divergent := byKey.diverged; len(divergent) > 0 {
 		fmt.Fprintf(w, "ENGINE CONFORMANCE VIOLATION: %d configurations measured differently per engine\n", len(divergent))
 		for _, key := range divergent {
 			fmt.Fprintf(w, "  %s\n", key)
 		}
 		return fmt.Errorf("%d configurations diverged between engines", len(divergent))
 	}
-	fmt.Fprintf(w, "conformance: %d engine pairs, interpreter and compiled byte-identical\n", pairs)
+	fmt.Fprintf(w, "conformance: %d engine pairs, interpreter and compiled byte-identical\n", byKey.distinct())
 	if failures > 0 {
 		return fmt.Errorf("%d requests failed", failures)
 	}

@@ -1,24 +1,20 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/bayes"
 )
 
-// inferItem is one /infer request to fire, tagged with its
-// configuration key and whether the variant was built inconsistent on
-// purpose (its invariant residual must be flagged).
+// inferItem is one /infer request to fire, tagged with whether the
+// variant was built inconsistent on purpose (its invariant residual
+// must be flagged).
 type inferItem struct {
-	key          string
 	req          api.InferRequest
 	inconsistent bool
 }
@@ -27,12 +23,9 @@ type inferItem struct {
 // the workload makes about it: every posterior interval at most its
 // prior, and the consistency verdict matching the variant.
 type inferOutcome struct {
-	key        string
-	latency    time.Duration
-	status     int
+	reply
 	err        error
-	body       string // request=>response for the determinism cross-check
-	widened    int    // events whose posterior interval exceeded the prior
+	widened    int // events whose posterior interval exceeded the prior
 	events     int
 	tightening float64
 	consistent bool
@@ -54,9 +47,8 @@ func buildInferItems(mixSpec string, n int) ([]inferItem, error) {
 	items := make([]inferItem, 0, n)
 	for i := 0; i < n; i++ {
 		cfg := configs[(i/2)%len(configs)]
-		variant := (i / (2 * len(configs))) % 3
-		it := inferItem{key: fmt.Sprintf("%s/%s/v%d", cfg.Processor, cfg.Stack, variant)}
-		switch variant {
+		var it inferItem
+		switch (i / (2 * len(configs))) % 3 {
 		case 0:
 			// Measured: two events of one configuration, the built-in
 			// library ties them (superscalar width, non-negativity).
@@ -112,69 +104,29 @@ func buildInferItems(mixSpec string, n int) ([]inferItem, error) {
 // pairs) across c workers, then asserts determinism, the
 // posterior<=prior CI guarantee, and the consistency verdicts.
 func runInfer(w io.Writer, addr, mixSpec string, n, c int) error {
-	if c <= 0 {
-		return fmt.Errorf("-c must be positive (got %d)", c)
-	}
-	if n < 0 {
-		return fmt.Errorf("-infers must be non-negative (got %d)", n)
+	if err := checkCounts(c, "-infers", n); err != nil {
+		return err
 	}
 	items, err := buildInferItems(mixSpec, n)
 	if err != nil {
 		return err
 	}
-
-	work := make(chan inferItem)
-	results := make(chan inferOutcome, len(items))
 	client := &http.Client{Timeout: 120 * time.Second}
-
-	var wg sync.WaitGroup
-	for i := 0; i < c; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for item := range work {
-				results <- fireInfer(client, addr, item)
-			}
-		}()
-	}
-	start := time.Now()
-	for _, item := range items {
-		work <- item
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(results)
-
+	results, elapsed := drive(items, c, func(item inferItem) inferOutcome {
+		return fireInfer(client, addr, item)
+	})
 	return reportInfer(w, results, elapsed)
 }
 
 // fireInfer sends one /infer request and evaluates its assertions.
 func fireInfer(client *http.Client, addr string, item inferItem) inferOutcome {
-	body, err := json.Marshal(item.req)
-	if err != nil {
-		return inferOutcome{key: item.key, err: err}
-	}
-	start := time.Now()
-	resp, err := client.Post(addr+"/infer", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return inferOutcome{key: item.key, err: err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	out := inferOutcome{
-		key:      item.key,
-		latency:  time.Since(start),
-		status:   resp.StatusCode,
-		err:      err,
-		wantFlag: item.inconsistent,
-	}
-	if err != nil || resp.StatusCode != http.StatusOK {
+	rep, err := post(client, addr, "/infer", item.req)
+	out := inferOutcome{reply: rep, err: err, wantFlag: item.inconsistent}
+	if err != nil || rep.status != http.StatusOK {
 		return out
 	}
-	out.body = string(body) + "=>" + string(data)
 	var ir api.InferResponse
-	if err := json.Unmarshal(data, &ir); err != nil {
+	if err := json.Unmarshal(rep.body, &ir); err != nil {
 		out.err = err
 		return out
 	}
@@ -189,10 +141,10 @@ func fireInfer(client *http.Client, addr string, item inferItem) inferOutcome {
 				out.flagged = true
 			}
 		}
-		for i, post := range res.Posterior {
+		for i, posterior := range res.Posterior {
 			prior := res.Prior[i]
 			priorHalf := (prior.Hi - prior.Lo) / 2
-			postHalf := (post.Hi - post.Lo) / 2
+			postHalf := (posterior.Hi - posterior.Lo) / 2
 			if postHalf > priorHalf*(1+1e-9) {
 				out.widened++
 			}
@@ -204,24 +156,21 @@ func fireInfer(client *http.Client, addr string, item inferItem) inferOutcome {
 
 // reportInfer prints throughput, latency, tightening, and the
 // determinism cross-check, failing on any violated assertion.
-func reportInfer(w io.Writer, results <-chan inferOutcome, elapsed time.Duration) error {
+func reportInfer(w io.Writer, results []inferOutcome, elapsed time.Duration) error {
 	var (
-		all                  []time.Duration
-		failures, total      int
-		widened, events      int
-		tighteningSum        float64
-		flaggedOK, flagMiss  int
-		cleanOK, cleanFalse  int
-		byRequest            = make(map[string]string)
-		divergent, responses int
+		all                 []time.Duration
+		failures            int
+		widened, events     int
+		tighteningSum       float64
+		flaggedOK, flagMiss int
+		cleanOK, cleanFalse int
+		byRequest           = newTally()
 	)
-	for res := range results {
-		total++
+	for _, res := range results {
 		if res.err != nil || res.status != http.StatusOK {
 			failures++
 			continue
 		}
-		responses++
 		all = append(all, res.latency)
 		widened += res.widened
 		events += res.events
@@ -239,31 +188,21 @@ func reportInfer(w io.Writer, results <-chan inferOutcome, elapsed time.Duration
 				cleanFalse++
 			}
 		}
-		reqBody, respBody, _ := strings.Cut(res.body, "=>")
-		if prev, ok := byRequest[reqBody]; ok && prev != respBody {
-			divergent++
-		} else {
-			byRequest[reqBody] = respBody
-		}
+		byRequest.add(string(res.sent), string(res.body))
 	}
 
-	fmt.Fprintf(w, "infers:      %d (%d failed)\n", total, failures)
-	fmt.Fprintf(w, "elapsed:     %v\n", elapsed.Round(time.Millisecond))
-	if len(all) > 0 && elapsed > 0 {
-		fmt.Fprintf(w, "throughput:  %.1f infers/s\n", float64(len(all))/elapsed.Seconds())
-	}
-	fmt.Fprintf(w, "latency:     %s\n", summarizeLatency(all))
-	if responses > 0 {
+	reportHead(w, "infers", "infers", len(results), failures, elapsed, all)
+	if responses := len(all); responses > 0 {
 		fmt.Fprintf(w, "tightening:  %.1f%% mean posterior-vs-prior interval reduction\n",
 			100*tighteningSum/float64(responses))
 		fmt.Fprintf(w, "residuals:   %d/%d planted inconsistencies flagged, %d/%d clean items clean\n",
 			flaggedOK, flaggedOK+flagMiss, cleanOK, cleanOK+cleanFalse)
 	}
-	if divergent > 0 {
-		fmt.Fprintf(w, "DETERMINISM VIOLATION: %d identical infers got different bodies\n", divergent)
-		return fmt.Errorf("%d divergent infer responses", divergent)
+	if n := len(byRequest.diverged); n > 0 {
+		fmt.Fprintf(w, "DETERMINISM VIOLATION: %d identical infers got different bodies\n", n)
+		return fmt.Errorf("%d divergent infer responses", n)
 	}
-	fmt.Fprintf(w, "determinism: %d distinct infers, all responses consistent\n", len(byRequest))
+	fmt.Fprintf(w, "determinism: %d distinct infers, all responses consistent\n", byRequest.distinct())
 	if widened > 0 {
 		return fmt.Errorf("%d events reported a posterior interval wider than the prior", widened)
 	}

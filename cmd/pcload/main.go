@@ -101,16 +101,12 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
-	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -145,36 +141,44 @@ func main() {
 	)
 	flag.Parse()
 
-	var err error
-	modes := 0
-	for _, on := range []bool{*monitor, *planMode, *analyze, *inferMode, *engine, *campMode, *mixed, *traceMode, *clusterOn} {
-		if on {
-			modes++
+	// The workloads, one per mode flag; none selected runs the default
+	// /measure mix. At most one may be selected, except that -cluster
+	// and -trace compose into the stitched-trace check.
+	w := os.Stdout
+	modes := []struct {
+		flag string
+		on   bool
+		run  func() error
+	}{
+		{"-analyze", *analyze, func() error { return run(w, *addr, *mixSpec, *n, *c, *runs, *seeds, *calibrate, true) }},
+		{"-monitor", *monitor, func() error { return runMonitor(w, *addr, *mixSpec, *sessions, *steps, *window, *c) }},
+		{"-plan", *planMode, func() error { return runPlan(w, *addr, *mixSpec, *plans, *c) }},
+		{"-infer", *inferMode, func() error { return runInfer(w, *addr, *mixSpec, *infers, *c) }},
+		{"-engine", *engine, func() error { return runEngine(w, *addr, *mixSpec, *n, *c, *runs, *seeds) }},
+		{"-campaign", *campMode, func() error { return runCampaign(w, *addr, *mixSpec, *campaigns, *programs, *c) }},
+		{"-mixed", *mixed, func() error { return runMixed(w, *addr, *mixSpec, *n, *c, *runs) }},
+		{"-trace", *traceMode, func() error { return runTrace(w, *addr, *mixSpec, *n, *c, *runs) }},
+		{"-cluster", *clusterOn, func() error { return runCluster(w, *addr, *directURL, *mixSpec, *n, *c, *runs) }},
+	}
+	selected := func() error { return run(w, *addr, *mixSpec, *n, *c, *runs, *seeds, *calibrate, false) }
+	var names []string
+	on := 0
+	for _, m := range modes {
+		names = append(names, m.flag)
+		if m.on {
+			on++
+			selected = m.run
 		}
 	}
+	var err error
 	switch {
-	case modes == 2 && *clusterOn && *traceMode:
-		err = runClusterTrace(os.Stdout, *addr, *directURL, *mixSpec, *n, *c, *runs)
-	case modes > 1:
-		err = fmt.Errorf("-analyze, -monitor, -plan, -infer, -engine, -campaign, -mixed, -trace, and -cluster are mutually exclusive workloads (except -cluster -trace)")
-	case *clusterOn:
-		err = runCluster(os.Stdout, *addr, *directURL, *mixSpec, *n, *c, *runs)
-	case *mixed:
-		err = runMixed(os.Stdout, *addr, *mixSpec, *n, *c, *runs)
-	case *traceMode:
-		err = runTrace(os.Stdout, *addr, *mixSpec, *n, *c, *runs)
-	case *campMode:
-		err = runCampaign(os.Stdout, *addr, *mixSpec, *campaigns, *programs, *c)
-	case *monitor:
-		err = runMonitor(os.Stdout, *addr, *mixSpec, *sessions, *steps, *window, *c)
-	case *planMode:
-		err = runPlan(os.Stdout, *addr, *mixSpec, *plans, *c)
-	case *inferMode:
-		err = runInfer(os.Stdout, *addr, *mixSpec, *infers, *c)
-	case *engine:
-		err = runEngine(os.Stdout, *addr, *mixSpec, *n, *c, *runs, *seeds)
+	case on == 2 && *clusterOn && *traceMode:
+		err = runClusterTrace(w, *addr, *directURL, *mixSpec, *n, *c, *runs)
+	case on > 1:
+		err = fmt.Errorf("%s, and %s are mutually exclusive workloads (except -cluster -trace)",
+			strings.Join(names[:len(names)-1], ", "), names[len(names)-1])
 	default:
-		err = run(os.Stdout, *addr, *mixSpec, *n, *c, *runs, *seeds, *calibrate, *analyze)
+		err = selected()
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pcload:", err)
@@ -182,9 +186,8 @@ func main() {
 	}
 }
 
-// workItem is one request to fire, tagged with its configuration key.
+// workItem is one request to fire.
 type workItem struct {
-	key  string
 	req  api.MeasureRequest
 	cold bool // first request of its configuration in this plan
 	// analyze, plan, and infer, when set, redirect the item to that
@@ -222,24 +225,18 @@ func (it workItem) payload() any {
 
 // outcome records one completed request.
 type outcome struct {
-	key      string
 	endpoint string
 	cold     bool
-	latency  time.Duration
-	body     string
-	status   int
-	err      error
+	reply
+	err error
 }
 
 func run(w io.Writer, addr, mixSpec string, n, c, runs, seeds int, calibrate, analyze bool) error {
-	if c <= 0 {
-		return fmt.Errorf("-c must be positive (got %d)", c)
+	if err := checkCounts(c, "-n", n); err != nil {
+		return err
 	}
 	if seeds <= 0 {
 		return fmt.Errorf("-seeds must be positive (got %d)", seeds)
-	}
-	if n < 0 {
-		return fmt.Errorf("-n must be non-negative (got %d)", n)
 	}
 	plan, err := buildPlan(mixSpec, n, runs, seeds, calibrate, analyze)
 	if err != nil {
@@ -256,34 +253,14 @@ func run(w io.Writer, addr, mixSpec string, n, c, runs, seeds int, calibrate, an
 	return nil
 }
 
-// executePlan fires a work plan through c concurrent workers and
-// returns the closed results channel plus the wall-clock elapsed time.
-// Shared by the default, -mixed, and -trace workloads.
-func executePlan(addr string, plan []workItem, c int) (<-chan outcome, time.Duration) {
-	work := make(chan workItem)
-	results := make(chan outcome, len(plan))
+// executePlan fires a work plan at addr through c concurrent workers.
+// Shared by the default, -mixed, and -cluster workloads.
+func executePlan(addr string, plan []workItem, c int) ([]outcome, time.Duration) {
 	client := &http.Client{Timeout: 60 * time.Second}
-
-	var wg sync.WaitGroup
-	for i := 0; i < c; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for item := range work {
-				results <- fire(client, addr, item)
-			}
-		}()
-	}
-
-	start := time.Now()
-	for _, item := range plan {
-		work <- item
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(results)
-	return results, elapsed
+	return drive(plan, c, func(item workItem) outcome {
+		rep, err := post(client, addr, item.endpoint(), item.payload())
+		return outcome{endpoint: item.endpoint(), cold: item.cold, reply: rep, err: err}
+	})
 }
 
 // parseMix parses a -mix spec — comma-separated PROC/stack pairs —
@@ -332,15 +309,14 @@ func buildPlan(mixSpec string, n, runs, seeds int, calibrate, analyze bool) ([]w
 			req.Pattern = "ar"
 		}
 		req.Seed = uint64(1 + i%seeds)
-		key := fmt.Sprintf("%s/%s", req.Processor, req.Stack)
 		// Cold means "first request that needs this calibration": the
 		// server caches calibrations per (shard, pattern, mode, opt),
 		// and within this plan mode and opt are constant. Under high
 		// concurrency a few cold-labeled items may race warm ones, so
 		// the split is approximate; the service benchmarks isolate the
 		// exact cache effect.
-		calKey := key + "/" + req.Pattern
-		item := workItem{key: key, req: req, cold: !seen[calKey]}
+		calKey := req.Processor + "/" + req.Stack + "/" + req.Pattern
+		item := workItem{req: req, cold: !seen[calKey]}
 		if analyze {
 			item.analyze = analyzeWrap(req, i)
 		}
@@ -370,49 +346,16 @@ func analyzeWrap(req api.MeasureRequest, i int) *api.AnalyzeRequest {
 	return &api.AnalyzeRequest{Items: []api.AnalyzeItem{item}}
 }
 
-// fire sends one request and records its outcome.
-func fire(client *http.Client, addr string, item workItem) outcome {
-	path := item.endpoint()
-	body, err := json.Marshal(item.payload())
-	if err != nil {
-		return outcome{key: item.key, endpoint: path, err: err}
-	}
-	start := time.Now()
-	resp, err := client.Post(addr+path, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return outcome{key: item.key, endpoint: path, cold: item.cold, err: err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	out := outcome{
-		key:      item.key,
-		endpoint: path,
-		cold:     item.cold,
-		latency:  time.Since(start),
-		status:   resp.StatusCode,
-		err:      err,
-	}
-	if err == nil && resp.StatusCode == http.StatusOK {
-		// Identity for the determinism cross-check: identical request
-		// bodies must produce identical response bodies.
-		out.body = string(body) + "=>" + string(data)
-	}
-	return out
-}
-
 // report prints throughput, latency percentiles, the cold/warm split,
 // and the determinism cross-check.
-func report(w io.Writer, results <-chan outcome, elapsed time.Duration, calibrate bool) error {
+func report(w io.Writer, results []outcome, elapsed time.Duration, calibrate bool) error {
 	var (
 		all, warm, cold []time.Duration
 		failures        int
-		total           int
-		byRequest       = make(map[string]string) // request body -> response body
+		byRequest       = newTally() // request body -> response body
 		byEndpoint      = make(map[string][]time.Duration)
-		divergent       int
 	)
-	for res := range results {
-		total++
+	for _, res := range results {
 		if res.err != nil || res.status != http.StatusOK {
 			failures++
 			continue
@@ -424,41 +367,22 @@ func report(w io.Writer, results <-chan outcome, elapsed time.Duration, calibrat
 		} else {
 			warm = append(warm, res.latency)
 		}
-		reqBody, respBody, _ := strings.Cut(res.body, "=>")
-		if prev, ok := byRequest[reqBody]; ok && prev != respBody {
-			divergent++
-		} else {
-			byRequest[reqBody] = respBody
-		}
+		byRequest.add(string(res.sent), string(res.body))
 	}
 
-	fmt.Fprintf(w, "requests:    %d (%d failed)\n", total, failures)
-	fmt.Fprintf(w, "elapsed:     %v\n", elapsed.Round(time.Millisecond))
-	if len(all) > 0 && elapsed > 0 {
-		fmt.Fprintf(w, "throughput:  %.1f req/s\n", float64(len(all))/elapsed.Seconds())
-	}
-	fmt.Fprintf(w, "latency:     %s\n", summarizeLatency(all))
-	// A mixed workload pools endpoints with very different costs; split
-	// the percentiles per endpoint so neither hides the other.
+	reportHead(w, "requests", "req", len(results), failures, elapsed, all)
 	if len(byEndpoint) > 1 {
-		endpoints := make([]string, 0, len(byEndpoint))
-		for ep := range byEndpoint {
-			endpoints = append(endpoints, ep)
-		}
-		sort.Strings(endpoints)
-		for _, ep := range endpoints {
-			fmt.Fprintf(w, "  %-10s %s (n=%d)\n", ep+":", summarizeLatency(byEndpoint[ep]), len(byEndpoint[ep]))
-		}
+		reportEndpoints(w, byEndpoint, "")
 	}
 	if calibrate && len(cold) > 0 && len(warm) > 0 {
 		fmt.Fprintf(w, "cold (first per config, runs calibration): %s\n", summarizeLatency(cold))
 		fmt.Fprintf(w, "warm (calibration cache hit):              %s\n", summarizeLatency(warm))
 	}
-	if divergent > 0 {
-		fmt.Fprintf(w, "DETERMINISM VIOLATION: %d identical requests got different bodies\n", divergent)
-		return fmt.Errorf("%d divergent responses", divergent)
+	if n := len(byRequest.diverged); n > 0 {
+		fmt.Fprintf(w, "DETERMINISM VIOLATION: %d identical requests got different bodies\n", n)
+		return fmt.Errorf("%d divergent responses", n)
 	}
-	fmt.Fprintf(w, "determinism: %d distinct requests, all responses consistent\n", len(byRequest))
+	fmt.Fprintf(w, "determinism: %d distinct requests, all responses consistent\n", byRequest.distinct())
 	if failures > 0 {
 		return fmt.Errorf("%d requests failed", failures)
 	}

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/api"
@@ -29,7 +28,7 @@ func buildMixedPlan(mixSpec string, n, runs int) ([]workItem, error) {
 			Runs:  runs,
 			Seed:  uint64(1 + i/(4*len(configs)*len(benches))),
 		}
-		item := workItem{key: cfg.Processor + "/" + cfg.Stack}
+		var item workItem
 		switch i % 4 {
 		case 0:
 			item.req = req
@@ -74,11 +73,8 @@ func buildMixedPlan(mixSpec string, n, runs int) ([]workItem, error) {
 // latency split. The determinism cross-check applies per request body,
 // endpoint-agnostic, exactly as in the default workload.
 func runMixed(w io.Writer, addr, mixSpec string, n, c, runs int) error {
-	if c <= 0 {
-		return fmt.Errorf("-c must be positive (got %d)", c)
-	}
-	if n < 0 {
-		return fmt.Errorf("-n must be non-negative (got %d)", n)
+	if err := checkCounts(c, "-n", n); err != nil {
+		return err
 	}
 	plan, err := buildMixedPlan(mixSpec, n, runs)
 	if err != nil {

@@ -1,22 +1,17 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/api"
 )
 
-// planItem is one /plan request to fire, tagged with its configuration
-// key for the determinism cross-check.
+// planItem is one /plan request to fire.
 type planItem struct {
-	key string
 	req api.PlanRequest
 }
 
@@ -24,11 +19,8 @@ type planItem struct {
 // the workload makes about it: the fused interval of every event must
 // be at most the naive one, and the plan must attain its target.
 type planOutcome struct {
-	key       string
-	latency   time.Duration
-	status    int
+	reply
 	err       error
-	body      string // request=>response for the determinism cross-check
 	attained  bool
 	widened   int // events whose fused interval exceeded the naive one
 	narrowing float64
@@ -78,7 +70,7 @@ func buildPlanPlans(mixSpec string, n int) ([]planItem, error) {
 			PilotRuns:      2,
 			MaxRuns:        16,
 		}
-		plan = append(plan, planItem{key: cfg.Processor + "/" + cfg.Stack, req: req})
+		plan = append(plan, planItem{req: req})
 	}
 	return plan, nil
 }
@@ -87,68 +79,29 @@ func buildPlanPlans(mixSpec string, n int) ([]planItem, error) {
 // pairs) across c workers, then asserts determinism, fused-interval
 // narrowing, and CI-target attainment.
 func runPlan(w io.Writer, addr, mixSpec string, n, c int) error {
-	if c <= 0 {
-		return fmt.Errorf("-c must be positive (got %d)", c)
-	}
-	if n < 0 {
-		return fmt.Errorf("-plans must be non-negative (got %d)", n)
+	if err := checkCounts(c, "-plans", n); err != nil {
+		return err
 	}
 	plan, err := buildPlanPlans(mixSpec, n)
 	if err != nil {
 		return err
 	}
-
-	work := make(chan planItem)
-	results := make(chan planOutcome, len(plan))
 	client := &http.Client{Timeout: 120 * time.Second}
-
-	var wg sync.WaitGroup
-	for i := 0; i < c; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for item := range work {
-				results <- firePlan(client, addr, item)
-			}
-		}()
-	}
-	start := time.Now()
-	for _, item := range plan {
-		work <- item
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(results)
-
+	results, elapsed := drive(plan, c, func(item planItem) planOutcome {
+		return firePlan(client, addr, item)
+	})
 	return reportPlan(w, results, elapsed)
 }
 
 // firePlan sends one /plan request and evaluates its assertions.
 func firePlan(client *http.Client, addr string, item planItem) planOutcome {
-	body, err := json.Marshal(item.req)
-	if err != nil {
-		return planOutcome{key: item.key, err: err}
-	}
-	start := time.Now()
-	resp, err := client.Post(addr+"/plan", "application/json", bytes.NewReader(body))
-	if err != nil {
-		return planOutcome{key: item.key, err: err}
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	out := planOutcome{
-		key:     item.key,
-		latency: time.Since(start),
-		status:  resp.StatusCode,
-		err:     err,
-	}
-	if err != nil || resp.StatusCode != http.StatusOK {
+	rep, err := post(client, addr, "/plan", item.req)
+	out := planOutcome{reply: rep, err: err}
+	if err != nil || rep.status != http.StatusOK {
 		return out
 	}
-	out.body = string(body) + "=>" + string(data)
 	var pr api.PlanResponse
-	if err := json.Unmarshal(data, &pr); err != nil {
+	if err := json.Unmarshal(rep.body, &pr); err != nil {
 		out.err = err
 		return out
 	}
@@ -169,19 +122,17 @@ func firePlan(client *http.Client, addr string, item planItem) planOutcome {
 
 // reportPlan prints throughput, latency, attainment, and the
 // determinism cross-check, failing on any violated assertion.
-func reportPlan(w io.Writer, results <-chan planOutcome, elapsed time.Duration) error {
+func reportPlan(w io.Writer, results []planOutcome, elapsed time.Duration) error {
 	var (
 		all                []time.Duration
-		failures, total    int
+		failures           int
 		attained, missed   int
 		widened, events    int
 		narrowingSum       float64
 		runsSum, roundsMax int
-		byRequest          = make(map[string]string)
-		divergent          int
+		byRequest          = newTally()
 	)
-	for res := range results {
-		total++
+	for _, res := range results {
 		if res.err != nil || res.status != http.StatusOK {
 			failures++
 			continue
@@ -197,21 +148,11 @@ func reportPlan(w io.Writer, results <-chan planOutcome, elapsed time.Duration) 
 		narrowingSum += res.narrowing
 		runsSum += res.totalRuns
 		roundsMax = max(roundsMax, res.rounds)
-		reqBody, respBody, _ := strings.Cut(res.body, "=>")
-		if prev, ok := byRequest[reqBody]; ok && prev != respBody {
-			divergent++
-		} else {
-			byRequest[reqBody] = respBody
-		}
+		byRequest.add(string(res.sent), string(res.body))
 	}
 
-	fmt.Fprintf(w, "plans:       %d (%d failed)\n", total, failures)
-	fmt.Fprintf(w, "elapsed:     %v\n", elapsed.Round(time.Millisecond))
-	if len(all) > 0 && elapsed > 0 {
-		fmt.Fprintf(w, "throughput:  %.1f plans/s\n", float64(len(all))/elapsed.Seconds())
-	}
-	fmt.Fprintf(w, "latency:     %s\n", summarizeLatency(all))
-	ok := total - failures
+	reportHead(w, "plans", "plans", len(results), failures, elapsed, all)
+	ok := len(results) - failures
 	if ok > 0 {
 		fmt.Fprintf(w, "attained:    %d/%d plans met their CI target (max rounds %d, %.1f runs/plan)\n",
 			attained, ok, roundsMax, float64(runsSum)/float64(ok))
@@ -219,11 +160,11 @@ func reportPlan(w io.Writer, results <-chan planOutcome, elapsed time.Duration) 
 	if events > 0 {
 		fmt.Fprintf(w, "narrowing:   %.1f%% mean fused-vs-naive interval reduction\n", 100*narrowingSum/float64(events))
 	}
-	if divergent > 0 {
-		fmt.Fprintf(w, "DETERMINISM VIOLATION: %d identical plans got different bodies\n", divergent)
-		return fmt.Errorf("%d divergent plan responses", divergent)
+	if n := len(byRequest.diverged); n > 0 {
+		fmt.Fprintf(w, "DETERMINISM VIOLATION: %d identical plans got different bodies\n", n)
+		return fmt.Errorf("%d divergent plan responses", n)
 	}
-	fmt.Fprintf(w, "determinism: %d distinct plans, all responses consistent\n", len(byRequest))
+	fmt.Fprintf(w, "determinism: %d distinct plans, all responses consistent\n", byRequest.distinct())
 	if widened > 0 {
 		return fmt.Errorf("%d events reported a fused interval wider than the naive one", widened)
 	}

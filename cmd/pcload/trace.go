@@ -1,13 +1,10 @@
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/api"
@@ -74,40 +71,19 @@ func stripTraceBlock(body []byte) (stripped string, trace *api.TraceInfo, err er
 // stripped.
 func fireTracePair(client *http.Client, addr string, item workItem, catalogue map[string]bool) traceOutcome {
 	out := traceOutcome{endpoint: item.endpoint()}
-	post := func(payload any) ([]byte, error) {
-		body, err := json.Marshal(payload)
-		if err != nil {
-			return nil, err
-		}
-		resp, err := client.Post(addr+item.endpoint(), "application/json", bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		defer resp.Body.Close()
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			return nil, err
-		}
-		if resp.StatusCode != http.StatusOK {
-			return nil, fmt.Errorf("%s: status %d: %s", item.endpoint(), resp.StatusCode, data)
-		}
-		return data, nil
-	}
-
-	plain, err := post(item.payload())
+	plain, err := postOK(client, addr, item.endpoint(), item.payload())
 	if err != nil {
 		out.err = err
 		return out
 	}
-	start := time.Now()
-	traced, err := post(withTrace(item))
-	out.latency = time.Since(start)
+	traced, err := postOK(client, addr, item.endpoint(), withTrace(item))
+	out.latency = traced.latency
 	if err != nil {
 		out.err = err
 		return out
 	}
 
-	plainStripped, plainTrace, err := stripTraceBlock(plain)
+	plainStripped, plainTrace, err := stripTraceBlock(plain.body)
 	if err != nil {
 		out.err = err
 		return out
@@ -116,7 +92,7 @@ func fireTracePair(client *http.Client, addr string, item workItem, catalogue ma
 		out.err = fmt.Errorf("%s: untraced response carries a trace block", item.endpoint())
 		return out
 	}
-	tracedStripped, traceBlock, err := stripTraceBlock(traced)
+	tracedStripped, traceBlock, err := stripTraceBlock(traced.body)
 	if err != nil {
 		out.err = err
 		return out
@@ -147,11 +123,8 @@ func fireTracePair(client *http.Client, addr string, item workItem, catalogue ma
 // workers, failing the run if any pair violates the observability
 // contract.
 func runTrace(w io.Writer, addr, mixSpec string, n, c, runs int) error {
-	if c <= 0 {
-		return fmt.Errorf("-c must be positive (got %d)", c)
-	}
-	if n < 0 {
-		return fmt.Errorf("-n must be non-negative (got %d)", n)
+	if err := checkCounts(c, "-n", n); err != nil {
+		return err
 	}
 	plan, err := buildMixedPlan(mixSpec, n, runs)
 	if err != nil {
@@ -161,36 +134,17 @@ func runTrace(w io.Writer, addr, mixSpec string, n, c, runs int) error {
 	for _, name := range telemetry.SpanNames() {
 		catalogue[name] = true
 	}
-
-	work := make(chan workItem)
-	results := make(chan traceOutcome, len(plan))
 	client := &http.Client{Timeout: 60 * time.Second}
-	var wg sync.WaitGroup
-	for i := 0; i < c; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for item := range work {
-				results <- fireTracePair(client, addr, item, catalogue)
-			}
-		}()
-	}
-	start := time.Now()
-	for _, item := range plan {
-		work <- item
-	}
-	close(work)
-	wg.Wait()
-	elapsed := time.Since(start)
-	close(results)
+	results, elapsed := drive(plan, c, func(item workItem) traceOutcome {
+		return fireTracePair(client, addr, item, catalogue)
+	})
 
 	var (
-		total, failures, spans int
-		firstErr               error
-		byEndpoint             = make(map[string][]time.Duration)
+		failures, spans int
+		firstErr        error
+		byEndpoint      = make(map[string][]time.Duration)
 	)
-	for res := range results {
-		total++
+	for _, res := range results {
 		if res.err != nil {
 			failures++
 			if firstErr == nil {
@@ -202,17 +156,10 @@ func runTrace(w io.Writer, addr, mixSpec string, n, c, runs int) error {
 		byEndpoint[res.endpoint] = append(byEndpoint[res.endpoint], res.latency)
 	}
 
-	fmt.Fprintf(w, "pairs:       %d (%d failed)\n", total, failures)
+	fmt.Fprintf(w, "pairs:       %d (%d failed)\n", len(results), failures)
 	fmt.Fprintf(w, "elapsed:     %v\n", elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "spans:       %d across all traced responses\n", spans)
-	endpoints := make([]string, 0, len(byEndpoint))
-	for ep := range byEndpoint {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		fmt.Fprintf(w, "  %-10s %s (n=%d, traced)\n", ep+":", summarizeLatency(byEndpoint[ep]), len(byEndpoint[ep]))
-	}
+	reportEndpoints(w, byEndpoint, ", traced")
 	if failures > 0 {
 		return fmt.Errorf("%d trace pairs failed, first: %w", failures, firstErr)
 	}

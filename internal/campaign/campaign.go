@@ -24,7 +24,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"repro/internal/api"
 	"repro/internal/bayes"
@@ -103,27 +102,27 @@ type Campaign struct {
 	covChecked    int
 	covMisses     int
 
-	// log is the event log streams read from. Its retention covers the
-	// whole sweep (findings are capped per program), so any attach
-	// replays the complete stream — the determinism tests compare full
-	// replays.
-	log *evlog.Log
+	// Log is the event log streams read from; it also carries the idle
+	// accounting the registry reads. Its retention covers the whole
+	// sweep (findings are capped per program), so any attach replays the
+	// complete stream — the determinism tests compare full replays.
+	*evlog.Log
 }
 
-// newCampaign builds a registered-but-not-yet-running campaign for a
-// normalized request.
-func newCampaign(id string, norm api.CampaignRequest, svc Services, cfg Config) *Campaign {
+// newCampaign builds a not-yet-running campaign for a normalized
+// request, wired to the registry's request paths, settings, and clock.
+func newCampaign(id string, norm api.CampaignRequest, r *Registry) *Campaign {
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Campaign{
 		ID:     id,
 		cfg:    norm,
-		svc:    svc,
-		inv:    cfg.Invariants,
-		conc:   cfg.Concurrency,
+		svc:    r.svc,
+		inv:    r.inv,
+		conc:   r.conc,
 		ctx:    ctx,
 		cancel: cancel,
 		state:  api.SessionRunning,
-		log:    evlog.New(norm.Programs*(MaxFindingsPerProgram+1)+16, cfg.Now),
+		Log:    evlog.New(norm.Programs*(MaxFindingsPerProgram+1)+16, r.Now),
 	}
 }
 
@@ -186,7 +185,7 @@ func (c *Campaign) run() {
 		c.covChecked += prog.Checked
 		c.covMisses += prog.Checked - prog.Covered
 		c.mu.Unlock()
-		if !c.log.Append(events...) {
+		if !c.Append(events...) {
 			return // closed mid-sweep; the closer wrote the end event
 		}
 	}
@@ -196,10 +195,10 @@ func (c *Campaign) run() {
 		c.mu.Lock()
 		c.recordFindingsLocked([]api.CampaignFinding{f})
 		c.mu.Unlock()
-		c.log.Append(api.CampaignEvent{Type: api.CampaignEventFinding, Finding: &f})
+		c.Append(api.CampaignEvent{Type: api.CampaignEventFinding, Finding: &f})
 	}
 	sum := c.summary()
-	c.log.Append(api.CampaignEvent{Type: api.CampaignEventSummary, Summary: &sum})
+	c.Append(api.CampaignEvent{Type: api.CampaignEventSummary, Summary: &sum})
 	c.close(api.SessionDone, "")
 }
 
@@ -476,12 +475,16 @@ func (c *Campaign) summary() api.CampaignSummary {
 	}
 }
 
+// Stop ends the campaign with an end event carrying reason; the
+// registry calls it on delete, eviction, and drain.
+func (c *Campaign) Stop(reason string) { c.close(reason, "") }
+
 // close ends the campaign with a final end event carrying the reason.
 // Idempotent: the first closer (sweep completion, delete, eviction,
 // drain, failure) wins — the log's End gate decides the race — and the
 // campaign's context is cancelled so in-flight checks abort.
 func (c *Campaign) close(state, failure string) {
-	if !c.log.End(api.CampaignEvent{Type: api.CampaignEventEnd, Reason: state, Error: failure}) {
+	if !c.End(api.CampaignEvent{Type: api.CampaignEventEnd, Reason: state, Error: failure}) {
 		return
 	}
 	c.mu.Lock()
@@ -491,33 +494,8 @@ func (c *Campaign) close(state, failure string) {
 	c.cancel()
 }
 
-// Events exposes the event log's replay-then-follow read; see
-// evlog.Log.Events.
-func (c *Campaign) Events(i int) (lines [][]byte, next int, wait <-chan struct{}, done bool) {
-	return c.log.Events(i)
-}
-
-// Subscribe registers an attached stream; subscribed campaigns are
-// never evicted as idle.
-func (c *Campaign) Subscribe() { c.log.Subscribe() }
-
-// Unsubscribe detaches a stream.
-func (c *Campaign) Unsubscribe() { c.log.Unsubscribe() }
-
-// idleSince returns how long the campaign has been without client
-// activity; zero while a stream is attached.
-func (c *Campaign) idleSince(now time.Time) time.Duration {
-	return c.log.IdleSince(now)
-}
-
 // Config returns the normalized campaign configuration.
 func (c *Campaign) Config() api.CampaignRequest { return c.cfg }
-
-// Ended reports whether the campaign has stopped producing.
-func (c *Campaign) Ended() bool { return c.log.Ended() }
-
-// lastAccessed returns the last client-activity time.
-func (c *Campaign) lastAccessed() time.Time { return c.log.LastAccess() }
 
 // State returns the current campaign state.
 func (c *Campaign) State() string {
@@ -528,7 +506,7 @@ func (c *Campaign) State() string {
 
 // Snapshot reports the campaign's progress and retained findings.
 func (c *Campaign) Snapshot() api.CampaignSnapshot {
-	c.log.Touch()
+	c.Touch()
 	cov := c.coverage()
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -272,8 +272,8 @@ func TestRegistryLimits(t *testing.T) {
 	if last.Type != api.CampaignEventEnd || last.Reason != api.SessionDeleted {
 		t.Errorf("deleted campaign ends with %+v", last)
 	}
-	if reg.Len() != 0 {
-		t.Errorf("registry retains %d campaigns after delete", reg.Len())
+	if _, n := reg.Stats(); n != 0 {
+		t.Errorf("registry retains %d campaigns after delete", n)
 	}
 }
 

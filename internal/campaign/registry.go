@@ -2,14 +2,12 @@ package campaign
 
 import (
 	"errors"
-	"fmt"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/api"
 	"repro/internal/bayes"
 	"repro/internal/cpu"
+	"repro/internal/lifecycle"
 )
 
 // Errors reported by the registry.
@@ -21,12 +19,6 @@ var (
 	// ErrNotFound reports an unknown campaign ID.
 	ErrNotFound = errors.New("campaign: no such campaign")
 )
-
-// retainedPerActive scales MaxCampaigns into the bound on *finished*
-// campaigns kept queryable for snapshots and stream replay: when the
-// map exceeds MaxCampaigns*retainedPerActive, the least recently
-// accessed ended campaign is dropped to make room.
-const retainedPerActive = 4
 
 // Config sizes a registry.
 type Config struct {
@@ -54,73 +46,40 @@ type Config struct {
 	Now func() time.Time
 }
 
-// withDefaults fills unset fields.
-func (c Config) withDefaults() Config {
-	if c.MaxCampaigns <= 0 {
-		c.MaxCampaigns = 4
-	}
-	if c.IdleTimeout <= 0 {
-		c.IdleTimeout = 2 * time.Minute
-	}
-	if c.SweepInterval == 0 {
-		c.SweepInterval = 15 * time.Second
-	}
-	if c.Concurrency <= 0 {
-		c.Concurrency = 2
-	}
-	if c.Invariants == nil {
-		c.Invariants = bayes.Library
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
-
-// Registry owns the campaigns of one service instance. It is safe for
-// concurrent use.
+// Registry owns the campaigns of one service instance: the lifecycle
+// registry's IDs, bounds, janitor, and drain, plus how a campaign is
+// opened. It is safe for concurrent use.
 type Registry struct {
-	svc Services
-	cfg Config
-
-	mu        sync.Mutex
-	campaigns map[string]*Campaign
-	nextID    int
-	closed    bool
-
-	wg          sync.WaitGroup // sweep goroutines
-	janitorStop chan struct{}
-	janitorDone chan struct{}
+	*lifecycle.Registry[*Campaign]
+	svc  Services
+	inv  func(*cpu.Model) bayes.Model
+	conc int
 }
 
 // NewRegistry builds a registry over the given request paths and starts
 // the idle-campaign janitor (unless disabled).
 func NewRegistry(svc Services, cfg Config) *Registry {
-	r := &Registry{
-		svc:       svc,
-		cfg:       cfg.withDefaults(),
-		campaigns: make(map[string]*Campaign),
+	if cfg.MaxCampaigns <= 0 {
+		cfg.MaxCampaigns = 4
 	}
-	if r.cfg.SweepInterval > 0 {
-		r.janitorStop = make(chan struct{})
-		r.janitorDone = make(chan struct{})
-		go r.janitor()
+	if cfg.Concurrency <= 0 {
+		cfg.Concurrency = 2
 	}
-	return r
-}
-
-// janitor periodically evicts idle campaigns until Close.
-func (r *Registry) janitor() {
-	defer close(r.janitorDone)
-	t := time.NewTicker(r.cfg.SweepInterval)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			r.Sweep()
-		case <-r.janitorStop:
-			return
-		}
+	if cfg.Invariants == nil {
+		cfg.Invariants = bayes.Library
+	}
+	return &Registry{
+		Registry: lifecycle.New[*Campaign](lifecycle.Config{
+			Prefix:        "c",
+			MaxActive:     cfg.MaxCampaigns,
+			IdleTimeout:   cfg.IdleTimeout,
+			SweepInterval: cfg.SweepInterval,
+			Now:           cfg.Now,
+			Errors:        lifecycle.Errors{NotFound: ErrNotFound, TooMany: ErrTooManyCampaigns, Closed: ErrClosed},
+		}),
+		svc:  svc,
+		inv:  cfg.Invariants,
+		conc: cfg.Concurrency,
 	}
 }
 
@@ -131,170 +90,14 @@ func (r *Registry) Open(req api.CampaignRequest) (*Campaign, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return nil, ErrClosed
+	id, err := r.Reserve()
+	if err != nil {
+		return nil, err
 	}
-	if r.activeLocked() >= r.cfg.MaxCampaigns {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("%w (limit %d)", ErrTooManyCampaigns, r.cfg.MaxCampaigns)
-	}
-	r.nextID++
-	id := fmt.Sprintf("c%d", r.nextID)
-	camp := newCampaign(id, norm, r.svc, r.cfg)
-	r.evictOverflowLocked()
-	r.campaigns[id] = camp
-	r.wg.Add(1)
-	r.mu.Unlock()
-
-	go func() {
-		defer r.wg.Done()
-		camp.run()
-	}()
-	return camp, nil
-}
-
-// activeLocked counts campaigns still sweeping. Callers hold r.mu.
-func (r *Registry) activeLocked() int {
-	n := 0
-	for _, camp := range r.campaigns {
-		if !camp.Ended() {
-			n++
-		}
-	}
-	return n
-}
-
-// evictOverflowLocked keeps the retained-campaign map bounded: when it
-// is full, the least recently accessed *ended* campaigns are forgotten
-// to make room for one more. Callers hold r.mu.
-func (r *Registry) evictOverflowLocked() {
-	for len(r.campaigns) >= r.cfg.MaxCampaigns*retainedPerActive {
-		oldestID := ""
-		var oldest time.Time
-		for id, camp := range r.campaigns {
-			if !camp.Ended() {
-				continue
-			}
-			if at := camp.lastAccessed(); oldestID == "" || at.Before(oldest) {
-				oldestID, oldest = id, at
-			}
-		}
-		if oldestID == "" {
-			return // all active; the activeLocked bound keeps this impossible
-		}
-		delete(r.campaigns, oldestID)
-	}
-}
-
-// Get returns a campaign by ID.
-func (r *Registry) Get(id string) (*Campaign, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	camp, ok := r.campaigns[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
+	camp := newCampaign(id, norm, r)
+	if err := r.Insert(id, camp, camp.run); err != nil {
+		camp.cancel() // refused at the second check: release its context
+		return nil, err
 	}
 	return camp, nil
-}
-
-// Delete removes a campaign: the sweep stops, attached streams receive
-// their remaining events plus an end event, and the ID is forgotten.
-func (r *Registry) Delete(id string) error {
-	r.mu.Lock()
-	camp, ok := r.campaigns[id]
-	if ok {
-		delete(r.campaigns, id)
-	}
-	r.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	camp.close(api.SessionDeleted, "")
-	return nil
-}
-
-// Active returns how many campaigns are currently sweeping — the
-// number /healthz reports.
-func (r *Registry) Active() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.activeLocked()
-}
-
-// Len returns how many campaigns are registered.
-func (r *Registry) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.campaigns)
-}
-
-// Stats snapshots the registry's gauges under one lock acquisition:
-// Active is campaigns still sweeping, Retained is every registered
-// campaign including finished ones kept for replay. One snapshot feeds
-// both /healthz and /metrics so the views agree.
-func (r *Registry) Stats() (active, retained int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.activeLocked(), len(r.campaigns)
-}
-
-// IDs returns the registered campaign IDs in order.
-func (r *Registry) IDs() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	ids := make([]string, 0, len(r.campaigns))
-	for id := range r.campaigns {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	return ids
-}
-
-// Sweep evicts every campaign that has been idle (no snapshot and no
-// attached stream) longer than IdleTimeout, and returns how many it
-// evicted.
-func (r *Registry) Sweep() int {
-	now := r.cfg.Now()
-	r.mu.Lock()
-	var evict []*Campaign
-	for id, camp := range r.campaigns {
-		if camp.idleSince(now) > r.cfg.IdleTimeout {
-			evict = append(evict, camp)
-			delete(r.campaigns, id)
-		}
-	}
-	r.mu.Unlock()
-	for _, camp := range evict {
-		camp.close(api.SessionEvicted, "")
-	}
-	return len(evict)
-}
-
-// Close drains the registry: the janitor stops, every campaign ends
-// with a drained end event (so attached streams terminate cleanly), and
-// Close blocks until every sweep goroutine has exited. Idempotent.
-// Campaigns stay readable afterwards, but no new campaign can open.
-func (r *Registry) Close() {
-	r.mu.Lock()
-	if r.closed {
-		r.mu.Unlock()
-		return
-	}
-	r.closed = true
-	campaigns := make([]*Campaign, 0, len(r.campaigns))
-	for _, camp := range r.campaigns {
-		campaigns = append(campaigns, camp)
-	}
-	r.mu.Unlock()
-
-	if r.janitorStop != nil {
-		close(r.janitorStop)
-		<-r.janitorDone
-	}
-	for _, camp := range campaigns {
-		camp.close(api.SessionDrained, "")
-	}
-	r.wg.Wait()
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/api"
+	"repro/internal/lifecycle"
 	"repro/internal/service"
 )
 
@@ -223,8 +224,8 @@ func TestIdleEviction(t *testing.T) {
 	if _, err := reg.Get(sess.ID); !errors.Is(err, ErrNotFound) {
 		t.Errorf("Get after eviction: %v, want ErrNotFound", err)
 	}
-	if reg.Len() != 0 {
-		t.Errorf("registry still holds %d sessions", reg.Len())
+	if _, n := reg.Stats(); n != 0 {
+		t.Errorf("registry still holds %d sessions", n)
 	}
 }
 
@@ -361,8 +362,8 @@ func TestFinishedSessionsDoNotCountAgainstLimit(t *testing.T) {
 	consume(t, second)
 	// Both stay queryable: finished sessions are retained, not leaked
 	// into the active budget.
-	if reg.Len() != 2 {
-		t.Errorf("registry holds %d sessions, want 2", reg.Len())
+	if _, n := reg.Stats(); n != 2 {
+		t.Errorf("registry holds %d sessions, want 2", n)
 	}
 }
 
@@ -373,15 +374,15 @@ func TestRetainedSessionsStayBounded(t *testing.T) {
 	reg, _ := newTestRegistry(t, Config{MaxSessions: 2})
 	cfg := testConfig()
 	cfg.Steps = 4 // quick
-	for i := 0; i < 3*retainedPerActive; i++ {
+	for i := 0; i < 3*lifecycle.RetainedPerActive; i++ {
 		sess, err := reg.Open(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("open %d: %v", i, err)
 		}
 		consume(t, sess)
 	}
-	if cap := 2 * retainedPerActive; reg.Len() > cap {
-		t.Errorf("registry retains %d sessions, want <= %d", reg.Len(), cap)
+	if _, n := reg.Stats(); n > 2*lifecycle.RetainedPerActive {
+		t.Errorf("registry retains %d sessions, want <= %d", n, 2*lifecycle.RetainedPerActive)
 	}
 }
 

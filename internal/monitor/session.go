@@ -42,12 +42,16 @@ type Session struct {
 	failure  string
 	baseline *tsdb.Window // drift-detection reference window
 	drifts   []api.DriftInfo
-	// log is the bounded NDJSON event log streams read from. Its
+	// Log is the bounded NDJSON event log streams read from. Its
 	// retention covers two rings' worth of samples, so streams that
 	// attach while the full log is retained (any attach within Capacity
 	// samples of the start — pcload attaches immediately) replay the
-	// complete series; later attaches replay the tail.
-	log *evlog.Log
+	// complete series; later attaches replay the tail. It also carries
+	// the idle accounting the registry reads: a session nobody watches
+	// is idle from its last access even while its sampler still
+	// produces, and eviction is what reclaims the pinned worker of an
+	// abandoned session.
+	*evlog.Log
 }
 
 // newSession builds a registered-but-not-yet-running session.
@@ -76,7 +80,7 @@ func newSession(id string, cfg api.SessionRequest, cal core.Calibration, now fun
 		// plus one window line per WindowSize >= 2 samples plus one
 		// drift line per window, so 2x Capacity (and slack for the end
 		// event) always covers a full sample ring.
-		log: evlog.New(2*cfg.Capacity+16, now),
+		Log: evlog.New(2*cfg.Capacity+16, now),
 	}, nil
 }
 
@@ -130,7 +134,7 @@ func (s *Session) run(sys *stackpkg.System) {
 // log appends atomically and refuses events after its end event.
 func (s *Session) observe(p tsdb.Sample) {
 	s.mu.Lock()
-	if s.log.Ended() {
+	if s.Ended() {
 		s.mu.Unlock()
 		return
 	}
@@ -146,7 +150,7 @@ func (s *Session) observe(p tsdb.Sample) {
 		}
 	}
 	s.mu.Unlock()
-	s.log.Append(events...)
+	s.Append(events...)
 }
 
 // detectLocked runs the drift rule on a completed window: the first
@@ -183,12 +187,16 @@ func overlap(a, b tsdb.Window) bool {
 		b.Est.CI.Lo-quantizationSlack <= a.Est.CI.Hi+quantizationSlack
 }
 
+// Stop ends the session with an end event carrying reason; the
+// registry calls it on delete, eviction, and drain.
+func (s *Session) Stop(reason string) { s.close(reason, "") }
+
 // close ends the session with a final end event carrying the reason.
 // Idempotent: the first closer (sampler completion, delete, eviction,
 // drain, failure) wins — the log's End gate decides the race — and
 // later calls are no-ops.
 func (s *Session) close(state, failure string) {
-	if !s.log.End(api.StreamEvent{Type: api.StreamEnd, Reason: state, Error: failure}) {
+	if !s.End(api.StreamEvent{Type: api.StreamEnd, Reason: state, Error: failure}) {
 		return
 	}
 	s.mu.Lock()
@@ -198,37 +206,8 @@ func (s *Session) close(state, failure string) {
 	s.stopOnce.Do(func() { close(s.stop) })
 }
 
-// Events exposes the event log's replay-then-follow read; see
-// evlog.Log.Events.
-func (s *Session) Events(i int) (lines [][]byte, next int, wait <-chan struct{}, done bool) {
-	return s.log.Events(i)
-}
-
-// Subscribe registers an attached stream; subscribed sessions are
-// never evicted as idle.
-func (s *Session) Subscribe() { s.log.Subscribe() }
-
-// Unsubscribe detaches a stream.
-func (s *Session) Unsubscribe() { s.log.Unsubscribe() }
-
-// idleSince returns how long the session has been without client
-// activity. A session with an attached stream is never idle; a
-// session nobody watches is idle from its last access even while its
-// sampler still produces — eviction is what reclaims the pinned
-// worker of an abandoned session.
-func (s *Session) idleSince(now time.Time) time.Duration {
-	return s.log.IdleSince(now)
-}
-
 // Config returns the normalized session configuration.
 func (s *Session) Config() api.SessionRequest { return s.cfg }
-
-// Ended reports whether the session has stopped producing (its end
-// event is written and its worker released or releasing).
-func (s *Session) Ended() bool { return s.log.Ended() }
-
-// lastAccessed returns the last client-activity time.
-func (s *Session) lastAccessed() time.Time { return s.log.LastAccess() }
 
 // State returns the current session state.
 func (s *Session) State() string {
@@ -239,7 +218,7 @@ func (s *Session) State() string {
 
 // Snapshot reports the session's current state and retained rings.
 func (s *Session) Snapshot() api.SessionSnapshot {
-	s.log.Touch()
+	s.Touch()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := api.SessionSnapshot{

@@ -154,8 +154,22 @@ func newHandler(svc *service.Service, reg *monitor.Registry, creg *campaign.Regi
 	mux := http.NewServeMux()
 	ts := newTelemetrySet()
 	ir := instrumentedRouter{mux: mux, ts: ts}
-	registerSessionRoutes(ir, reg)
-	registerCampaignRoutes(ir, creg)
+	registerStreamRoutes(ir, "/sessions", reg.Registry,
+		func(r *http.Request, req api.SessionRequest) (api.SessionCreated, error) {
+			sess, err := reg.Open(r.Context(), req)
+			if err != nil {
+				return api.SessionCreated{}, err
+			}
+			return api.SessionCreated{ID: sess.ID, Config: sess.Config()}, nil
+		})
+	registerStreamRoutes(ir, "/campaigns", creg.Registry,
+		func(_ *http.Request, req api.CampaignRequest) (api.CampaignCreated, error) {
+			camp, err := creg.Open(req)
+			if err != nil {
+				return api.CampaignCreated{}, err
+			}
+			return api.CampaignCreated{ID: camp.ID, Config: camp.Config()}, nil
+		})
 	ir.HandleFunc("POST /measure", handleJSON(statusFor, http.StatusOK,
 		func(r *http.Request, req api.MeasureRequest) (*api.MeasureResponse, error) {
 			return svc.Measure(r.Context(), req)

@@ -5,56 +5,76 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/api"
-	"repro/internal/monitor"
+	"repro/internal/lifecycle"
 )
 
-// registerSessionRoutes wires the continuous-monitoring endpoints:
+// streamEntry is what the stream routes need of a registered entry —
+// a monitoring session or a validation campaign: the lifecycle
+// registry's view of it, its snapshot, and its replay-then-follow
+// event log (both delegate to internal/evlog).
+type streamEntry[Snap any] interface {
+	lifecycle.Entry
+	eventSource
+	Snapshot() Snap
+}
+
+// registerStreamRoutes wires one stateful streaming resource under
+// base. Monitoring sessions and validation campaigns both serve
+// through it:
 //
-//	POST   /sessions             api.SessionRequest -> api.SessionCreated
-//	GET    /sessions/{id}        -> api.SessionSnapshot
-//	GET    /sessions/{id}/stream -> NDJSON api.StreamEvent lines
-//	DELETE /sessions/{id}        -> 204
-func registerSessionRoutes(mux router, reg *monitor.Registry) {
-	mux.HandleFunc("POST /sessions", handleJSON(sessionStatusFor, http.StatusCreated,
-		func(r *http.Request, req api.SessionRequest) (api.SessionCreated, error) {
-			sess, err := reg.Open(r.Context(), req)
+//	POST   /sessions              api.SessionRequest -> api.SessionCreated
+//	GET    /sessions/{id}         -> api.SessionSnapshot
+//	GET    /sessions/{id}/stream  -> NDJSON api.StreamEvent lines
+//	DELETE /sessions/{id}         -> 204
+//	POST   /campaigns             api.CampaignRequest -> api.CampaignCreated
+//	GET    /campaigns/{id}        -> api.CampaignSnapshot
+//	GET    /campaigns/{id}/stream -> NDJSON api.CampaignEvent lines
+//	DELETE /campaigns/{id}        -> 204
+//
+// Errors map from the registry's sentinels: unknown IDs are 404, and
+// the active bound and shutdown are 503 (retryable elsewhere or
+// later); anything else, bad requests included, takes statusFor.
+func registerStreamRoutes[Req, Created, Snap any, E streamEntry[Snap]](mux router, base string, reg *lifecycle.Registry[E], open func(*http.Request, Req) (Created, error)) {
+	errs := reg.Errors()
+	status := func(err error) int {
+		switch {
+		case errors.Is(err, errs.NotFound):
+			return http.StatusNotFound
+		case errors.Is(err, errs.TooMany), errors.Is(err, errs.Closed):
+			return http.StatusServiceUnavailable
+		}
+		return statusFor(err)
+	}
+	// withEntry resolves {id} or answers the lookup error.
+	withEntry := func(serve func(http.ResponseWriter, *http.Request, E)) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			e, err := reg.Get(r.PathValue("id"))
 			if err != nil {
-				return api.SessionCreated{}, err
+				writeError(w, status(err), err)
+				return
 			}
-			return api.SessionCreated{ID: sess.ID, Config: sess.Config()}, nil
-		}))
-
-	mux.HandleFunc("GET /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
-		sess, err := reg.Get(r.PathValue("id"))
-		if err != nil {
-			writeError(w, sessionStatusFor(err), err)
-			return
+			serve(w, r, e)
 		}
-		writeJSON(w, http.StatusOK, sess.Snapshot())
-	})
+	}
 
-	mux.HandleFunc("GET /sessions/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		sess, err := reg.Get(r.PathValue("id"))
-		if err != nil {
-			writeError(w, sessionStatusFor(err), err)
-			return
-		}
-		streamEvents(w, r, sess)
-	})
-
-	mux.HandleFunc("DELETE /sessions/{id}", func(w http.ResponseWriter, r *http.Request) {
+	mux.HandleFunc("POST "+base, handleJSON(status, http.StatusCreated, open))
+	mux.HandleFunc("GET "+base+"/{id}", withEntry(func(w http.ResponseWriter, _ *http.Request, e E) {
+		writeJSON(w, http.StatusOK, e.Snapshot())
+	}))
+	mux.HandleFunc("GET "+base+"/{id}/stream", withEntry(func(w http.ResponseWriter, r *http.Request, e E) {
+		streamEvents(w, r, e)
+	}))
+	mux.HandleFunc("DELETE "+base+"/{id}", func(w http.ResponseWriter, r *http.Request) {
 		if err := reg.Delete(r.PathValue("id")); err != nil {
-			writeError(w, sessionStatusFor(err), err)
+			writeError(w, status(err), err)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
 }
 
-// eventSource is the replay-then-follow log surface monitoring
-// sessions and validation campaigns share (both delegate to
-// internal/evlog); streamEvents serves any of them.
+// eventSource is the replay-then-follow log surface streamEvents
+// serves (evlog.Log's).
 type eventSource interface {
 	Events(i int) (lines [][]byte, next int, wait <-chan struct{}, done bool)
 	Subscribe()
@@ -106,20 +126,4 @@ func streamEvents(w http.ResponseWriter, r *http.Request, src eventSource) {
 			return
 		}
 	}
-}
-
-// sessionStatusFor maps registry errors to HTTP statuses: bad requests
-// are the client's fault, unknown IDs are 404, and capacity or
-// shutdown conditions are 503 (retryable elsewhere or later).
-func sessionStatusFor(err error) int {
-	switch {
-	case errors.Is(err, api.ErrBadRequest):
-		return http.StatusBadRequest
-	case errors.Is(err, monitor.ErrNotFound):
-		return http.StatusNotFound
-	case errors.Is(err, monitor.ErrTooManySessions),
-		errors.Is(err, monitor.ErrClosed):
-		return http.StatusServiceUnavailable
-	}
-	return statusFor(err)
 }
