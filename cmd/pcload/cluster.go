@@ -5,16 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
 	"repro/internal/api"
-	"repro/internal/telemetry"
 )
 
 // runCluster drives a pcfront cluster and proves the cluster contract
@@ -142,7 +139,6 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 		return fmt.Errorf("%d responses diverged from the direct node", divergent)
 	}
 	fmt.Fprintf(w, "byte-identity: %d distinct requests, every cluster response byte-identical to direct\n", len(distinct))
-	reportEncodeShare(w, directAddr)
 	if failures > 0 {
 		return fmt.Errorf("%d requests failed", failures)
 	}
@@ -192,95 +188,4 @@ func reportFleet(w io.Writer, frontAddr string) {
 	}
 	fmt.Fprintf(w, "fleet:       %s; status=%s hedged=%d hedge-wins=%d retried=%d\n",
 		strings.Join(states, " "), h.Status, h.Hedged, h.HedgeWins, h.Retried)
-}
-
-// reportEncodeShare scrapes a pcserved node's /metrics and reports the
-// encode stage's p99 as a share of the /measure endpoint's p99 — the
-// measurement the pooled-encoder decision rests on (docs/CLUSTER.md:
-// ship one only if serialization exceeds ~10% of the request budget).
-// Best-effort: a node without traffic or an unreachable /metrics just
-// reports why.
-func reportEncodeShare(w io.Writer, addr string) {
-	resp, err := http.Get(addr + "/metrics")
-	if err != nil {
-		fmt.Fprintf(w, "encode share: (metrics unreachable: %v)\n", err)
-		return
-	}
-	defer resp.Body.Close()
-	text, err := io.ReadAll(resp.Body)
-	if err != nil {
-		fmt.Fprintf(w, "encode share: (reading metrics: %v)\n", err)
-		return
-	}
-	encodeP99, eok := promHistogramP99(text, "pcserved_stage_duration_seconds_bucket", `stage="encode"`)
-	measureP99, mok := promHistogramP99(text, "pcserved_http_request_duration_seconds_bucket", `endpoint="/measure"`)
-	if !eok || !mok || measureP99 <= 0 {
-		fmt.Fprintf(w, "encode share: (no /measure traffic recorded on %s)\n", addr)
-		return
-	}
-	share := encodeP99 / measureP99
-	verdict := "below the ~10% pooled-encoder threshold; stock encoding stays"
-	if share > 0.10 {
-		verdict = "above the ~10% threshold; consider the pooled encoder (docs/CLUSTER.md)"
-	}
-	fmt.Fprintf(w, "encode share: encode p99 %.3gs / measure p99 %.3gs = %.1f%% — %s\n",
-		encodeP99, measureP99, share*100, verdict)
-}
-
-// promHistogramP99 computes an upper-bound p99 from a Prometheus
-// histogram's cumulative buckets in text exposition: the smallest
-// bucket boundary covering 99% of observations, linearly interpolated
-// within the bucket. Matches samples named family whose label set
-// contains labelPair (name="value").
-func promHistogramP99(text []byte, family, labelPair string) (float64, bool) {
-	fams, err := telemetry.ParseExposition(bytes.NewReader(text))
-	if err != nil {
-		return 0, false
-	}
-	name, value, _ := strings.Cut(labelPair, "=")
-	value = strings.Trim(value, `"`)
-	type bucket struct {
-		le    float64
-		count float64
-	}
-	var buckets []bucket
-	for _, fam := range fams {
-		for _, s := range fam.Samples {
-			if s.Name != family || !slices.Contains(s.Labels, telemetry.Annotation{Key: name, Value: value}) {
-				continue
-			}
-			for _, l := range s.Labels {
-				if l.Key != "le" {
-					continue
-				}
-				if le, err := strconv.ParseFloat(l.Value, 64); err == nil {
-					buckets = append(buckets, bucket{le: le, count: s.Value})
-				}
-			}
-		}
-	}
-	if len(buckets) == 0 {
-		return 0, false
-	}
-	sort.Slice(buckets, func(i, j int) bool { return buckets[i].le < buckets[j].le })
-	total := buckets[len(buckets)-1].count // +Inf bucket is cumulative total
-	if total == 0 {
-		return 0, false
-	}
-	target := 0.99 * total
-	prevLe, prevCount := 0.0, 0.0
-	for _, b := range buckets {
-		if b.count >= target {
-			if math.IsInf(b.le, 1) { // no upper bound to interpolate to
-				return prevLe, true
-			}
-			if b.count == prevCount {
-				return b.le, true
-			}
-			frac := (target - prevCount) / (b.count - prevCount)
-			return prevLe + frac*(b.le-prevLe), true
-		}
-		prevLe, prevCount = b.le, b.count
-	}
-	return buckets[len(buckets)-1].le, true
 }

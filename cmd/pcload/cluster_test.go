@@ -60,7 +60,6 @@ func TestRunCluster(t *testing.T) {
 		"byte-identity:",
 		"reuse:",
 		"fleet:",
-		"encode share:",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("report missing %q:\n%s", want, out)
@@ -91,29 +90,5 @@ func TestRunClusterValidation(t *testing.T) {
 	}
 	if err := runCluster(&buf, "http://x", "http://y", "K8/pc", 4, 0, 2); err == nil {
 		t.Fatal("runCluster with zero workers succeeded")
-	}
-}
-
-// TestPromHistogramP99 checks the bucket interpolation against a
-// hand-built exposition.
-func TestPromHistogramP99(t *testing.T) {
-	text := []byte(strings.Join([]string{
-		`fam_bucket{stage="encode",le="0.001"} 90`,
-		`fam_bucket{stage="encode",le="0.01"} 100`,
-		`fam_bucket{stage="encode",le="+Inf"} 100`,
-		`fam_bucket{stage="other",le="+Inf"} 5`,
-	}, "\n"))
-	p99, ok := promHistogramP99(text, "fam_bucket", `stage="encode"`)
-	if !ok {
-		t.Fatal("no histogram found")
-	}
-	// target = 99 of 100; bucket (0.001, 0.01] holds counts 90..100, so
-	// p99 interpolates 90% into it.
-	want := 0.001 + 0.9*(0.01-0.001)
-	if p99 < want-1e-9 || p99 > want+1e-9 {
-		t.Fatalf("p99 = %v, want %v", p99, want)
-	}
-	if _, ok := promHistogramP99(text, "fam_bucket", `stage="missing"`); ok {
-		t.Fatal("matched a label set that does not exist")
 	}
 }

@@ -37,8 +37,10 @@ type inferOutcome struct {
 // variants — measured inputs under the built-in library, raw inputs
 // under an explicit sum constraint, and a deliberately inconsistent
 // raw pair whose invariant residual must fire. Every request is issued
-// twice (i/2) so identical pairs exercise the determinism cross-check
-// and in-flight coalescing, like every other pcload workload.
+// twice (pair i/2) so identical pairs exercise the determinism
+// cross-check and in-flight coalescing, like every other pcload
+// workload. Pair k is variant k%3 on mix entry (k/3)%len(mix), so any
+// six requests include a planted inconsistency, whatever the mix.
 func buildInferItems(mixSpec string, n int) ([]inferItem, error) {
 	configs, err := parseMix(mixSpec)
 	if err != nil {
@@ -46,9 +48,10 @@ func buildInferItems(mixSpec string, n int) ([]inferItem, error) {
 	}
 	items := make([]inferItem, 0, n)
 	for i := 0; i < n; i++ {
-		cfg := configs[(i/2)%len(configs)]
+		pair := i / 2
+		cfg := configs[(pair/3)%len(configs)]
 		var it inferItem
-		switch (i / (2 * len(configs))) % 3 {
+		switch pair % 3 {
 		case 0:
 			// Measured: two events of one configuration, the built-in
 			// library ties them (superscalar width, non-negativity).
@@ -214,6 +217,13 @@ func reportInfer(w io.Writer, results []inferOutcome, elapsed time.Duration) err
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d infers failed", failures)
+	}
+	// A verdict over nothing passes vacuously: both checks need answers.
+	if flaggedOK+flagMiss == 0 {
+		return fmt.Errorf("no planted inconsistency was answered, so the residual check ran on nothing (send -infers 6 or more)")
+	}
+	if cleanOK+cleanFalse == 0 {
+		return fmt.Errorf("no consistent item was answered, so the clean check ran on nothing (send -infers 6 or more)")
 	}
 	return nil
 }

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/api"
 	"repro/internal/service"
@@ -89,6 +91,52 @@ func TestRunInferAgainstBackend(t *testing.T) {
 	}
 	if strings.Contains(report, "DETERMINISM VIOLATION") {
 		t.Errorf("determinism violation reported:\n%s", report)
+	}
+}
+
+// TestRunInferDefaultMixSixInfers is the smallest run that can judge
+// the residual check: with the default four-entry mix, six requests
+// (three identical pairs) must include a planted pair, and the
+// report must show it flagged.
+func TestRunInferDefaultMixSixInfers(t *testing.T) {
+	srv := newInferBackend(t)
+	var out bytes.Buffer
+	if err := runInfer(&out, srv.URL, "K8/pc,K8/pm,CD/pc,CD/PHpm", 6, 2); err != nil {
+		t.Fatalf("runInfer: %v\noutput:\n%s", err, out.String())
+	}
+	if want := "residuals:   2/2 planted inconsistencies flagged, 4/4 clean items clean"; !strings.Contains(out.String(), want) {
+		t.Errorf("report missing %q:\n%s", want, out.String())
+	}
+}
+
+// TestReportInferFailsOnEmptyDenominators guards against a verdict on
+// nothing: without a planted outcome, or without a clean one, the
+// report must fail rather than print 0/0 and pass.
+func TestReportInferFailsOnEmptyDenominators(t *testing.T) {
+	ok := func(planted bool) inferOutcome {
+		return inferOutcome{
+			reply:      reply{sent: []byte(fmt.Sprint(planted)), status: http.StatusOK, body: []byte("{}")},
+			consistent: !planted, wantFlag: planted, flagged: planted,
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		results []inferOutcome
+		wantErr string
+	}{
+		{"no planted outcome", []inferOutcome{ok(false), ok(false)}, "planted inconsistency"},
+		{"no clean outcome", []inferOutcome{ok(true), ok(true)}, "clean check"},
+		{"no outcome", nil, "planted inconsistency"},
+	} {
+		var out bytes.Buffer
+		err := reportInfer(&out, tc.results, time.Second)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: reportInfer error = %v, want one naming the %s\noutput:\n%s", tc.name, err, tc.wantErr, out.String())
+		}
+	}
+	var out bytes.Buffer
+	if err := reportInfer(&out, []inferOutcome{ok(false), ok(true)}, time.Second); err != nil {
+		t.Errorf("one clean and one planted outcome: %v\noutput:\n%s", err, out.String())
 	}
 }
 

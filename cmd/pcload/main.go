@@ -70,10 +70,8 @@
 // N-node fleet is byte-identical to one node) proven from the client
 // side, including under node kill and restart. The report adds the
 // routing view (attempts, hedge and retry rates, and the per-backend
-// winner distribution from the X-Pcfront-* headers, the fleet state
-// from the front's /healthz) and the encode-stage share of the direct
-// node's /measure p99, the measurement behind the pooled-encoder
-// decision in docs/CLUSTER.md.
+// winner distribution from the X-Pcfront-* headers, and the fleet
+// state from the front's /healthz).
 //
 // -cluster and -trace compose: together they drive the mixed rotation
 // as stitched-trace checks through the proxy. Every traced response
@@ -243,14 +241,7 @@ func run(w io.Writer, addr, mixSpec string, n, c, runs, seeds int, calibrate, an
 		return err
 	}
 	results, elapsed := executePlan(addr, plan, c)
-	if err := report(w, results, elapsed, calibrate); err != nil {
-		return err
-	}
-	// The serialization-share measurement behind the pooled-encoder
-	// decision (docs/CLUSTER.md), computed from the server's own stage
-	// histograms now that this run has populated them.
-	reportEncodeShare(w, addr)
-	return nil
+	return report(w, results, elapsed, calibrate)
 }
 
 // executePlan fires a work plan at addr through c concurrent workers.

@@ -15,6 +15,7 @@ package cpu
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/xrand"
@@ -147,11 +148,46 @@ type Core struct {
 	inIRQ   bool
 	inPMI   bool
 	depth   int
-	curAddr uint64              // address of the executing code region
-	lines   map[uint64]struct{} // touched icache lines (cold-miss model)
-	pages   map[uint64]struct{} // touched iTLB pages
+	curAddr uint64 // address of the executing code region
 	halted  bool
+
+	// run is the run epoch: BeginRun bumps it, and a page's fetch
+	// record counts as touched in this run only while it carries the
+	// current epoch. It starts at 1, so a new record (epoch 0) reads
+	// cold even before the first BeginRun.
+	run uint64
+	// pages holds the cold-miss model's fetch state, one record per
+	// code page ever fetched. It is never cleared and needs no
+	// eviction: every program executes at a fixed base (the compiler's
+	// text base, the generator's base, and the kernel's and the
+	// counter-access infrastructures' handler bases), so it holds at
+	// most the pages of the largest program plus the kernel's.
+	pages map[uint64]*pageFetch
+	// lastPage and last cache the most recent page lookup. lastPage
+	// starts at noPage, which no page number can equal.
+	lastPage uint64
+	last     *pageFetch
 }
+
+// FetchSpan is the part of a code footprint that lies in one 4 KiB
+// page: the page number (addr>>12) and a mask of the page's 64-byte
+// i-cache lines. A page holds exactly 64 lines, so the line of addr is
+// bit (addr>>6)&63 of its page's mask.
+type FetchSpan struct {
+	Page, Lines uint64
+}
+
+// pageFetch is the fetch state of one code page: the run epoch it was
+// last touched in, and the lines touched in that run. lines is valid
+// only while run equals the core's epoch; a page with a stale epoch is
+// cold, line and page alike.
+type pageFetch struct {
+	run, lines uint64
+}
+
+// noPage is a page number no address maps to (addresses are 64-bit, so
+// pages are below 1<<52).
+const noPage = ^uint64(0)
 
 // maxNesting bounds handler recursion (user -> syscall -> interrupt).
 const maxNesting = 8
@@ -164,8 +200,9 @@ func NewCore(m *Model) *Core {
 		FreqScale: 1.0,
 		Syscalls:  make(map[int]*isa.Program),
 		rng:       xrand.New(0),
-		lines:     make(map[uint64]struct{}),
-		pages:     make(map[uint64]struct{}),
+		run:       1,
+		pages:     make(map[uint64]*pageFetch),
+		lastPage:  noPage,
 	}
 }
 
@@ -269,8 +306,7 @@ func (c *Core) BeginRun() {
 	c.inIRQ = false
 	c.inPMI = false
 	c.depth = 0
-	clear(c.lines)
-	clear(c.pages)
+	c.run++ // every page's fetch record goes stale: the run starts cold
 	c.Mode = User
 }
 
@@ -821,62 +857,88 @@ func (c *Core) addCycles(cyc float64) {
 // pass through the block would have left.
 func (c *Core) SetExecAddr(addr uint64) { c.curAddr = addr }
 
-// FetchColdCount reports how many of the given i-cache lines and i-TLB
-// pages are still untouched this run, without changing tracking state.
+// page returns the fetch record of page, creating it (stale, so cold)
+// on first sight, through the one-entry last-page cache.
+func (c *Core) page(page uint64) *pageFetch {
+	if page == c.lastPage {
+		return c.last
+	}
+	pf := c.pages[page]
+	if pf == nil {
+		pf = new(pageFetch)
+		c.pages[page] = pf
+	}
+	c.lastPage, c.last = page, pf
+	return pf
+}
+
+// FetchColdCount reports how many of the i-cache lines and i-TLB pages
+// in spans are still untouched this run, without marking them touched.
 // The compiled engine folds the corresponding first-touch penalties into
 // a block's bulk cost: penalties are integer cycle constants and miss
 // events integer counts, so the aggregate is exactly what stepping
-// would have charged.
-func (c *Core) FetchColdCount(lines, pages []uint64) (coldLines, coldPages int) {
-	for _, l := range lines {
-		if _, ok := c.lines[l]; !ok {
-			coldLines++
-		}
-	}
-	for _, p := range pages {
-		if _, ok := c.pages[p]; !ok {
+// would have charged. Each page must appear in at most one span.
+func (c *Core) FetchColdCount(spans []FetchSpan) (coldLines, coldPages int) {
+	for _, s := range spans {
+		pf := c.page(s.Page)
+		if pf.run != c.run {
+			coldLines += bits.OnesCount64(s.Lines)
 			coldPages++
+		} else {
+			coldLines += bits.OnesCount64(s.Lines &^ pf.lines)
 		}
 	}
 	return coldLines, coldPages
 }
 
-// FetchMark records the lines and pages as touched, charging the cold
-// first-touch miss events and penalty cycles exactly as per-instruction
-// fetches would have. Callers bulk-advancing a region use it with the
-// region's full footprint.
-func (c *Core) FetchMark(lines, pages []uint64) {
-	for _, l := range lines {
-		if _, ok := c.lines[l]; !ok {
-			c.lines[l] = struct{}{}
-			c.PMU.AddEvent(c.Mode, EventICacheMiss, 1)
-			c.addCycles(c.Model.ICacheMissPenalty)
+// FetchMark records the lines and pages in spans as touched and charges
+// their cold first-touch misses: all i-cache misses as one event add and
+// one cycle add, then all i-TLB misses likewise. That equals what
+// per-instruction fetches would have charged (integer penalties on the
+// cycle grid; crossings telescope), but it reorders the adds, so it is
+// for bulk application only, where no overflow interrupt is delivered
+// between them. Each page must appear in at most one span.
+func (c *Core) FetchMark(spans []FetchSpan) {
+	var coldLines, coldPages int
+	for _, s := range spans {
+		pf := c.page(s.Page)
+		if pf.run != c.run {
+			pf.run, pf.lines = c.run, s.Lines
+			coldLines += bits.OnesCount64(s.Lines)
+			coldPages++
+		} else {
+			coldLines += bits.OnesCount64(s.Lines &^ pf.lines)
+			pf.lines |= s.Lines
 		}
 	}
-	for _, p := range pages {
-		if _, ok := c.pages[p]; !ok {
-			c.pages[p] = struct{}{}
-			c.PMU.AddEvent(c.Mode, EventITLBMiss, 1)
-			c.addCycles(c.Model.ITLBMissPenalty)
-		}
+	if coldLines > 0 {
+		c.PMU.AddEvent(c.Mode, EventICacheMiss, float64(coldLines))
+		c.addCycles(float64(coldLines) * c.Model.ICacheMissPenalty)
+	}
+	if coldPages > 0 {
+		c.PMU.AddEvent(c.Mode, EventITLBMiss, float64(coldPages))
+		c.addCycles(float64(coldPages) * c.Model.ITLBMissPenalty)
 	}
 }
 
 // fetchPenalty applies cold i-cache and i-TLB costs on first touch of a
-// line or page, and tracks the executing address for overflow
-// attribution.
+// line or page, line miss first, and tracks the executing address for
+// overflow attribution.
 func (c *Core) fetchPenalty(addr uint64) {
 	c.curAddr = addr
-	line := addr >> 6
-	if _, ok := c.lines[line]; !ok {
-		c.lines[line] = struct{}{}
+	pf := c.page(addr >> 12)
+	line := uint64(1) << ((addr >> 6) & 63)
+	if pf.run != c.run {
+		pf.run, pf.lines = c.run, line
 		c.PMU.AddEvent(c.Mode, EventICacheMiss, 1)
 		c.addCycles(c.Model.ICacheMissPenalty)
-	}
-	page := addr >> 12
-	if _, ok := c.pages[page]; !ok {
-		c.pages[page] = struct{}{}
 		c.PMU.AddEvent(c.Mode, EventITLBMiss, 1)
 		c.addCycles(c.Model.ITLBMissPenalty)
+		return
+	}
+	if pf.lines&line == 0 {
+		pf.lines |= line
+		c.PMU.AddEvent(c.Mode, EventICacheMiss, 1)
+		c.addCycles(c.Model.ICacheMissPenalty)
 	}
 }

@@ -67,31 +67,43 @@ func BenchmarkEngineCompiledVsInterp(b *testing.B) {
 // BenchmarkEngineMeasurePath pairs the engines on the full per-request
 // measurement path (harness construction, counter configuration,
 // analysis) — the end-to-end view, where per-request infrastructure
-// work common to both engines dilutes the engine-only ratio.
+// work common to both engines dilutes the engine-only ratio. The
+// unprefixed pair measures a 1M-iteration loop; the short/ pair
+// measures the shape of a small service request (array:500 on PLpc,
+// pattern ro), where the run starts cold and the cold-fetch state and
+// the engine's per-run setup weigh most.
 func BenchmarkEngineMeasurePath(b *testing.B) {
-	req := func() core.Request {
-		return core.Request{Bench: core.LoopBenchmark(1_000_000), Pattern: core.StartRead,
-			Mode: core.ModeUserKernel, Seed: 7}
+	cases := []struct {
+		prefix, model, stack string
+		req                  core.Request
+	}{
+		{"", "PD", "pc", core.Request{Bench: core.LoopBenchmark(1_000_000), Pattern: core.StartRead,
+			Mode: core.ModeUserKernel, Seed: 7}},
+		{"short/", "CD", "PLpc", core.Request{Bench: core.ArrayBenchmark(500), Pattern: core.ReadStop,
+			Mode: core.ModeUser, Seed: 7}},
 	}
-	for _, eng := range []cpu.Runner{engine.NewInterpreter(), engine.NewCompiled(nil)} {
-		b.Run(eng.Name(), func(b *testing.B) {
-			m, err := cpu.ModelByTag("PD")
-			if err != nil {
-				b.Fatal(err)
-			}
-			opts := stack.DefaultOptions
-			opts.Engine = eng
-			s, err := stack.New(m, "pc", opts)
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				s.Reset()
-				if _, err := s.Measure(req()); err != nil {
+	for _, tc := range cases {
+		for _, eng := range []cpu.Runner{engine.NewInterpreter(), engine.NewCompiled(nil)} {
+			b.Run(tc.prefix+eng.Name(), func(b *testing.B) {
+				m, err := cpu.ModelByTag(tc.model)
+				if err != nil {
 					b.Fatal(err)
 				}
-			}
-		})
+				opts := stack.DefaultOptions
+				opts.Engine = eng
+				s, err := stack.New(m, tc.stack, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					s.Reset()
+					if _, err := s.Measure(tc.req); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

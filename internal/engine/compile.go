@@ -29,10 +29,11 @@ type block struct {
 	alu, mem, br int64
 	// misp counts statically mispredicted branches in the block.
 	misp int64
-	// lines and pages are the distinct i-cache lines and i-TLB pages
-	// the block fetches from; bulk application charges any still-cold
-	// ones their first-touch penalties via cpu.Core.FetchMark.
-	lines, pages []uint64
+	// fetch is the block's code footprint as one (page, line mask)
+	// span per page it fetches from — almost always one span; bulk
+	// application charges any still-cold lines and pages their
+	// first-touch penalties via cpu.Core.FetchMark.
+	fetch []cpu.FetchSpan
 	// lastAddr is the address of the block's final instruction — the
 	// attribution address a stepwise pass would leave behind.
 	lastAddr uint64
@@ -116,8 +117,6 @@ func compile(p *isa.Program) *program {
 func lowerBlock(p *isa.Program, leader int) *block {
 	code := p.Code
 	b := &block{}
-	seenLine := map[uint64]bool{}
-	seenPage := map[uint64]bool{}
 	pc := leader
 	for pc < len(code) {
 		in := code[pc]
@@ -126,14 +125,7 @@ func lowerBlock(p *isa.Program, leader int) *block {
 		}
 		addr := p.Addr(pc)
 		b.lastAddr = addr
-		if line := addr >> 6; !seenLine[line] {
-			seenLine[line] = true
-			b.lines = append(b.lines, line)
-		}
-		if page := addr >> 12; !seenPage[page] {
-			seenPage[page] = true
-			b.pages = append(b.pages, page)
-		}
+		b.touch(addr)
 		b.n++
 		switch in.Op {
 		case isa.OpALU, isa.OpNop:
@@ -158,6 +150,19 @@ func lowerBlock(p *isa.Program, leader int) *block {
 	}
 	b.next = pc
 	return b
+}
+
+// touch adds the line at addr to the block's footprint. A block's pcs
+// are consecutive, so its addresses ascend and a page it leaves never
+// recurs: a new page starts a new span, which keeps each page in one
+// span, as cpu.Core.FetchColdCount and FetchMark require.
+func (b *block) touch(addr uint64) {
+	page, line := addr>>12, uint64(1)<<((addr>>6)&63)
+	if n := len(b.fetch); n > 0 && b.fetch[n-1].Page == page {
+		b.fetch[n-1].Lines |= line
+		return
+	}
+	b.fetch = append(b.fetch, cpu.FetchSpan{Page: page, Lines: line})
 }
 
 // cycles returns the block's cycle cost at the core's current clock

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cpu"
@@ -18,10 +19,12 @@ import (
 // instructions per delivery.
 //
 // A Compiled engine is safe for concurrent use by multiple cores; the
-// per-run state it needs lives on the stack of RunProgram.
+// per-run state it needs lives in a runState taken from a pool for the
+// duration of one RunProgram.
 type Compiled struct {
 	cache *Cache
 	runs  atomic.Int64
+	pool  sync.Pool // of *runState
 }
 
 // NewCompiled returns a compiled engine backed by the given cache (nil
@@ -44,45 +47,93 @@ func (e *Compiled) CacheStats() CacheStats { return e.cache.Stats() }
 
 // RunProgram implements cpu.Runner: it resets per-run core state and
 // executes p to completion through block dispatch, routing nested
-// handler programs through the engine as well.
+// handler programs through the engine as well. A warm run (every
+// program it meets already compiled) allocates nothing: its memo, warm
+// sets and nested-run hook come from a pooled runState.
 func (e *Compiled) RunProgram(c *cpu.Core, p *isa.Program) error {
 	e.runs.Add(1)
-	// Per-run memo: within one run the same handful of programs (the
-	// top-level program plus the kernel's handlers) recurs thousands of
-	// times, and a pointer lookup beats re-hashing a 2000-instruction
-	// tick handler on every delivery. Each program also gets the set of
-	// its blocks already applied in this run, which lives only in this
-	// memo: compiled programs are shared by every core and may be
-	// evicted from the cache, so no per-run state is stored on them.
-	memo := make(map[*isa.Program]runEntry, 4)
-	lookup := func(q *isa.Program) runEntry {
-		ent, ok := memo[q]
-		if !ok {
-			cp := e.cache.lookup(q, c.Model.Tag)
-			ent = runEntry{cp: cp, warm: newWarmSet(cp.nblocks)}
-			memo[q] = ent
+	s, _ := e.pool.Get().(*runState)
+	if s == nil {
+		s = &runState{e: e, memo: make([]runEntry, 0, 8)}
+		s.nested = func(q *isa.Program) error {
+			return s.e.runFrame(s.c, q, s.lookup(q))
 		}
-		return ent
 	}
+	s.c = c
 	prev := c.NestedRun
-	c.NestedRun = func(q *isa.Program) error {
-		return e.runFrame(c, q, lookup(q))
-	}
-	defer func() { c.NestedRun = prev }()
+	c.NestedRun = s.nested
+	defer func() {
+		c.NestedRun = prev
+		s.reset()
+		e.pool.Put(s)
+	}()
 
-	// The warm sets above are exact only because BeginRun runs once, here,
+	// The warm sets are exact only because BeginRun runs once, here,
 	// before any block: a core's fetch state only grows between BeginRun
 	// calls, so a block applied earlier in this run has its whole
-	// footprint warm. The one Core.Run that could nest and clear it is
+	// footprint warm. The one Core.Run that could nest and reset it is
 	// the one in kernel.SwitchTo, which only host code calls, between
 	// runs.
 	c.BeginRun()
-	return e.runFrame(c, p, lookup(p))
+	return e.runFrame(c, p, s.lookup(p))
 }
 
-// runEntry is one program's entry in a run's memo: its compiled form
-// and which of its blocks have been applied in the run.
+// runState is one run's memo. Within a run the same handful of
+// programs (the top-level program plus the kernel's handlers) recurs
+// thousands of times, and a pointer scan over a few entries beats
+// re-hashing a 2000-instruction tick handler on every delivery. Each
+// program also gets the set of its blocks already applied in this run,
+// which lives only here: compiled programs are shared by every core and
+// may be evicted from the cache, so no per-run state is stored on them.
+type runState struct {
+	e *Compiled
+	c *cpu.Core
+	// memo holds one entry per program met in the run, scanned by
+	// program pointer.
+	memo []runEntry
+	// words backs every warm set of the run; sets are carved from it
+	// in the order programs are met and cleared as they are carved.
+	words []uint64
+	// nested is the core's NestedRun hook for the run, bound once per
+	// state so installing it allocates nothing.
+	nested func(q *isa.Program) error
+}
+
+// lookup returns q's memo entry, compiling q (through the cache) and
+// carving its warm set on first sight in the run.
+func (s *runState) lookup(q *isa.Program) runEntry {
+	for _, ent := range s.memo {
+		if ent.prog == q {
+			return ent
+		}
+	}
+	cp := s.e.cache.lookup(q, s.c.Model.Tag)
+	n := (cp.nblocks + 63) / 64
+	if len(s.words)+n > cap(s.words) {
+		// Sets carved so far keep the old array; later runs carve from
+		// the larger one, so the state stops growing once it fits a run.
+		s.words = make([]uint64, 0, max(2*cap(s.words), n))
+	}
+	w := s.words[len(s.words) : len(s.words)+n]
+	clear(w)
+	s.words = s.words[:len(s.words)+n]
+	ent := runEntry{prog: q, cp: cp, warm: warmSet(w)}
+	s.memo = append(s.memo, ent)
+	return ent
+}
+
+// reset empties the state for the next run, dropping its references to
+// the core and to programs, which may be evicted from the cache.
+func (s *runState) reset() {
+	s.c = nil
+	clear(s.memo)
+	s.memo, s.words = s.memo[:0], s.words[:0]
+}
+
+// runEntry is one program's entry in a run's memo: the program, its
+// compiled form, and which of its blocks have been applied in the run.
 type runEntry struct {
+	prog *isa.Program
 	cp   *program
 	warm warmSet
 }
@@ -90,8 +141,6 @@ type runEntry struct {
 // warmSet holds one bit per block id: set once the block has been
 // applied in the current run, which leaves its fetch footprint warm.
 type warmSet []uint64
-
-func newWarmSet(nblocks int) warmSet { return make(warmSet, (nblocks+63)/64) }
 
 func (w warmSet) has(id int) bool { return w[id/64]&(1<<uint(id%64)) != 0 }
 
@@ -161,7 +210,7 @@ func canBulk(c *cpu.Core, b *block, warm bool) (float64, bool) {
 	if c.TimerActive() {
 		total := cyc
 		if !warm {
-			if coldLines, coldPages := c.FetchColdCount(b.lines, b.pages); coldLines|coldPages != 0 {
+			if coldLines, coldPages := c.FetchColdCount(b.fetch); coldLines|coldPages != 0 {
 				total += float64(coldLines)*c.Model.ICacheMissPenalty +
 					float64(coldPages)*c.Model.ITLBMissPenalty
 			}
@@ -179,7 +228,7 @@ func canBulk(c *cpu.Core, b *block, warm bool) (float64, bool) {
 // would have left.
 func applyBlock(c *cpu.Core, b *block, cyc float64, warm bool) {
 	if !warm {
-		c.FetchMark(b.lines, b.pages)
+		c.FetchMark(b.fetch)
 	}
 	if b.misp > 0 {
 		c.PMU.AddEvent(c.Mode, cpu.EventBrMispRetired, float64(b.misp))

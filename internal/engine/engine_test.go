@@ -185,7 +185,7 @@ func TestCompiledActuallyBulks(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The footprint must now be warm: a second canBulk sees no cold cost.
-	if cl, cp2 := c.FetchColdCount(entry.lines, entry.pages); cl != 0 || cp2 != 0 {
+	if cl, cp2 := c.FetchColdCount(entry.fetch); cl != 0 || cp2 != 0 {
 		t.Fatalf("footprint still cold after applyBlock: %d lines, %d pages", cl, cp2)
 	}
 	bulk := c.Cycles

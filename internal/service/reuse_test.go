@@ -68,11 +68,21 @@ func reversed(seq []api.MeasureRequest) []api.MeasureRequest {
 	return out
 }
 
+// raceEnabled reports a -race build (set in race_test.go).
+var raceEnabled bool
+
 // TestWarmMeasureAllocations bounds the allocations of a warm,
 // calibrated small-benchmark request: a worker that rebuilt its kernel
-// handlers or harness on every run would allocate several times more.
+// handlers or harness on every run, or a compiled engine that rebuilt
+// its run state, would allocate more. The bound is the 88 allocations
+// logged when it was set, plus 10%.
 func TestWarmMeasureAllocations(t *testing.T) {
-	const maxAllocs = 150
+	maxAllocs := 96.0
+	if raceEnabled {
+		// sync.Pool drops a quarter of what is put back under -race
+		// (fmt's printers, the engine's run states): about ten more.
+		maxAllocs += 16
+	}
 	s := New(Config{WorkersPerShard: 1})
 	ctx := context.Background()
 	req := api.MeasureRequest{Processor: "CD", Stack: "PLpc", Bench: "array:500", Pattern: "ro", Runs: 3, Calibrate: true}
@@ -85,6 +95,6 @@ func TestWarmMeasureAllocations(t *testing.T) {
 	})
 	t.Logf("%.0f allocations per warm request", allocs)
 	if allocs > maxAllocs {
-		t.Errorf("warm calibrated Measure allocates %.0f times per request, want at most %d", allocs, maxAllocs)
+		t.Errorf("warm calibrated Measure allocates %.0f times per request, want at most %.0f", allocs, maxAllocs)
 	}
 }
