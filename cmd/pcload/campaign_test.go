@@ -2,88 +2,12 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/api"
-	"repro/internal/campaign"
-	"repro/internal/plan"
-	"repro/internal/service"
 )
 
-// newCampaignBackend serves /campaigns from a real campaign registry
-// over a real service, mirroring pcserved's wiring.
-func newCampaignBackend(t *testing.T) *httptest.Server {
-	t.Helper()
-	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
-	planner := plan.New(svc)
-	creg := campaign.NewRegistry(campaign.Services{
-		Measure: svc.Measure,
-		Infer:   svc.Infer,
-		Plan:    planner.Do,
-	}, campaign.Config{SweepInterval: -1})
-	t.Cleanup(creg.Close)
-
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /campaigns", func(w http.ResponseWriter, r *http.Request) {
-		var req api.CampaignRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		camp, err := creg.Open(req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusCreated)
-		json.NewEncoder(w).Encode(api.CampaignCreated{ID: camp.ID, Config: camp.Config()})
-	})
-	mux.HandleFunc("GET /campaigns/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		camp, err := creg.Get(r.PathValue("id"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		flusher, _ := w.(http.Flusher)
-		camp.Subscribe()
-		defer camp.Unsubscribe()
-		i := 0
-		for {
-			lines, next, wait, done := camp.Events(i)
-			i = next
-			if len(lines) > 0 {
-				for _, line := range lines {
-					w.Write(line)
-					w.Write([]byte("\n"))
-				}
-				if flusher != nil {
-					flusher.Flush()
-				}
-				continue
-			}
-			if done {
-				return
-			}
-			select {
-			case <-wait:
-			case <-r.Context().Done():
-				return
-			}
-		}
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
-
 func TestRunCampaignAgainstBackend(t *testing.T) {
-	srv := newCampaignBackend(t)
+	srv := newNode(t)
 	var out bytes.Buffer
 	if err := runCampaign(&out, srv.URL, "K8/pc", 4, 2, 2); err != nil {
 		t.Fatalf("runCampaign: %v\noutput:\n%s", err, out.String())
@@ -106,7 +30,7 @@ func TestRunCampaignAgainstBackend(t *testing.T) {
 }
 
 func TestRunCampaignRoundsToPairs(t *testing.T) {
-	srv := newCampaignBackend(t)
+	srv := newNode(t)
 	var out bytes.Buffer
 	if err := runCampaign(&out, srv.URL, "K8/pc", 3, 2, 2); err != nil {
 		t.Fatalf("runCampaign: %v\noutput:\n%s", err, out.String())

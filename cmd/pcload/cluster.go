@@ -14,16 +14,22 @@ import (
 	"repro/internal/api"
 )
 
+// outcome records one completed request.
+type outcome struct {
+	endpoint string
+	reply
+	err error
+}
+
 // runCluster drives a pcfront cluster and proves the cluster contract
 // from the client side: every response body must be byte-identical to
 // a direct single-node answer. The workload is the mixed rotation
 // (/measure, /analyze, /plan, /infer) fired at the front; then every
 // distinct request is fired once at the -direct node and the bodies
 // compared byte for byte, answers the front gave from its cache
-// included. The report adds the routing view (cache hits, attempts,
-// hedges, fleet state from the front's /healthz) and the encode-stage
-// share of the direct node's /measure p99 — the measurement behind the
-// pooled-encoder decision in docs/CLUSTER.md.
+// included; a run that compared none fails. The report adds the
+// routing view (cache hits, attempts, hedges, fleet state from the
+// front's /healthz).
 func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs int) error {
 	if directAddr == "" {
 		return fmt.Errorf("-cluster needs -direct, the single pcserved node to cross-check against")
@@ -38,7 +44,11 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 
 	// Every body is captured, success or error: error bodies are part of
 	// the byte-identity contract too.
-	outcomes, elapsed := executePlan(frontAddr, plan, c)
+	client := &http.Client{Timeout: 60 * time.Second}
+	outcomes, elapsed := drive(plan, c, func(item workItem) outcome {
+		rep, err := post(client, frontAddr, item.endpoint(), item.payload())
+		return outcome{endpoint: item.endpoint(), reply: rep, err: err}
+	})
 
 	// Direct reference pass: one request per distinct body. The direct
 	// node computes each answer independently; determinism is what makes
@@ -52,11 +62,11 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 	reference := directReference(directAddr, distinct, c)
 
 	var (
-		failures, divergent, multiAttempt, hedged, retried, hits int
-		byEndpoint                                               = make(map[string][]time.Duration)
-		byBackend                                                = make(map[string]int)
-		attemptDist                                              = make(map[int]int)
-		all                                                      []time.Duration
+		failures, compared, divergent, multiAttempt, hedged, retried, hits int
+		byEndpoint                                                         = make(map[string][]time.Duration)
+		byBackend                                                          = make(map[string]int)
+		attemptDist                                                        = make(map[int]int)
+		all                                                                []time.Duration
 	)
 	for _, out := range outcomes {
 		if out.err != nil || out.status != http.StatusOK {
@@ -90,6 +100,7 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 			failures++
 			continue
 		}
+		compared++
 		if !bytes.Equal(out.body, ref) {
 			divergent++
 		}
@@ -138,9 +149,14 @@ func runCluster(w io.Writer, frontAddr, directAddr, mixSpec string, n, c, runs i
 		fmt.Fprintf(w, "CLUSTER DIVERGENCE: %d responses differ from the direct node\n", divergent)
 		return fmt.Errorf("%d responses diverged from the direct node", divergent)
 	}
-	fmt.Fprintf(w, "byte-identity: %d distinct requests, every cluster response byte-identical to direct\n", len(distinct))
+	if compared > 0 {
+		fmt.Fprintf(w, "byte-identity: %d distinct requests, every cluster response byte-identical to direct\n", len(distinct))
+	}
 	if failures > 0 {
 		return fmt.Errorf("%d requests failed", failures)
+	}
+	if compared == 0 {
+		return fmt.Errorf("no response was compared with the direct node, so the byte-identity check ran on nothing")
 	}
 	return nil
 }

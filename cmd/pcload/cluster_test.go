@@ -6,10 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/campaign"
 	"repro/internal/cluster"
-	"repro/internal/monitor"
-	"repro/internal/server"
 )
 
 // newClusterFleet spins n real pcserved nodes and a pcfront over them,
@@ -20,15 +17,7 @@ func newClusterFleet(t *testing.T, n int) (front, direct string, backends []*htt
 	urls := make([]string, n)
 	backends = make([]*httptest.Server, n)
 	for i := range backends {
-		node := server.New(server.Config{
-			Workers:         2,
-			CalibrationRuns: 5,
-			Monitor:         monitor.Config{SweepInterval: -1},
-			Campaign:        campaign.Config{SweepInterval: -1},
-		})
-		t.Cleanup(node.Close)
-		backends[i] = httptest.NewServer(node.Handler())
-		t.Cleanup(backends[i].Close)
+		backends[i] = newNode(t)
 		urls[i] = backends[i].URL
 	}
 	f, err := cluster.NewFront(cluster.Config{

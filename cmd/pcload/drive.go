@@ -89,10 +89,12 @@ func postOK(client *http.Client, addr, path string, payload any) (reply, error) 
 }
 
 // tally is the determinism cross-check: the same request must get the
-// same answer. It keeps the first answer per request key and records
-// every later answer that differs.
+// same answer. It keeps the first answer per request key, counts every
+// later answer it compares with that first one, and records each that
+// differs.
 type tally struct {
 	first    map[string]string
+	compared int      // answers compared with an earlier answer to their key
 	diverged []string // keys whose answer differed from the first
 }
 
@@ -100,15 +102,41 @@ func newTally() *tally { return &tally{first: make(map[string]string)} }
 
 // add records one answer to the request identified by key.
 func (t *tally) add(key, answer string) {
-	if prev, ok := t.first[key]; ok && prev != answer {
-		t.diverged = append(t.diverged, key)
-	} else {
+	prev, ok := t.first[key]
+	if !ok {
 		t.first[key] = answer
+		return
+	}
+	t.compared++
+	if prev != answer {
+		t.diverged = append(t.diverged, key)
 	}
 }
 
 // distinct returns how many distinct requests were seen.
 func (t *tally) distinct() int { return len(t.first) }
+
+// violation prints and returns the divergence, if any: every key whose
+// repeated answer differed from its first, under the plural noun.
+func (t *tally) violation(w io.Writer, noun string) error {
+	if len(t.diverged) == 0 {
+		return nil
+	}
+	fmt.Fprintf(w, "DETERMINISM VIOLATION: %d %s answered differently than the first time\n", len(t.diverged), noun)
+	for _, key := range t.diverged {
+		fmt.Fprintf(w, "  %s\n", key)
+	}
+	return fmt.Errorf("%d divergent %s", len(t.diverged), noun)
+}
+
+// vacuous returns the error of a determinism verdict that compared no
+// answer with an earlier one: it would pass on nothing.
+func (t *tally) vacuous(noun string) error {
+	if t.compared > 0 {
+		return nil
+	}
+	return fmt.Errorf("no %s answered twice, so the determinism check compared nothing", noun)
+}
 
 // checkCounts validates the flags every request workload shares: a
 // positive worker count and a non-negative request count.

@@ -103,13 +103,14 @@ func buildInferItems(mixSpec string, n int) ([]inferItem, error) {
 	return items, nil
 }
 
-// runInfer drives the /infer workload: n requests (issued as identical
-// pairs) across c workers, then asserts determinism, the
+// runInfer drives the /infer workload: n requests, rounded up to
+// identical pairs, across c workers, then asserts determinism, the
 // posterior<=prior CI guarantee, and the consistency verdicts.
 func runInfer(w io.Writer, addr, mixSpec string, n, c int) error {
 	if err := checkCounts(c, "-infers", n); err != nil {
 		return err
 	}
+	n += n % 2 // pairs: every infer is sent twice
 	items, err := buildInferItems(mixSpec, n)
 	if err != nil {
 		return err
@@ -201,11 +202,12 @@ func reportInfer(w io.Writer, results []inferOutcome, elapsed time.Duration) err
 		fmt.Fprintf(w, "residuals:   %d/%d planted inconsistencies flagged, %d/%d clean items clean\n",
 			flaggedOK, flaggedOK+flagMiss, cleanOK, cleanOK+cleanFalse)
 	}
-	if n := len(byRequest.diverged); n > 0 {
-		fmt.Fprintf(w, "DETERMINISM VIOLATION: %d identical infers got different bodies\n", n)
-		return fmt.Errorf("%d divergent infer responses", n)
+	if err := byRequest.violation(w, "infers"); err != nil {
+		return err
 	}
-	fmt.Fprintf(w, "determinism: %d distinct infers, all responses consistent\n", byRequest.distinct())
+	if byRequest.compared > 0 {
+		fmt.Fprintf(w, "determinism: %d distinct infers, all responses consistent\n", byRequest.distinct())
+	}
 	if widened > 0 {
 		return fmt.Errorf("%d events reported a posterior interval wider than the prior", widened)
 	}
@@ -218,12 +220,15 @@ func reportInfer(w io.Writer, results []inferOutcome, elapsed time.Duration) err
 	if failures > 0 {
 		return fmt.Errorf("%d infers failed", failures)
 	}
-	// A verdict over nothing passes vacuously: both checks need answers.
+	// A verdict over nothing passes vacuously: each check needs answers.
 	if flaggedOK+flagMiss == 0 {
 		return fmt.Errorf("no planted inconsistency was answered, so the residual check ran on nothing (send -infers 6 or more)")
 	}
 	if cleanOK+cleanFalse == 0 {
 		return fmt.Errorf("no consistent item was answered, so the clean check ran on nothing (send -infers 6 or more)")
 	}
-	return nil
+	if events == 0 {
+		return fmt.Errorf("no infer returned an interval, so the posterior<=prior check ran on nothing")
+	}
+	return byRequest.vacuous("infers")
 }

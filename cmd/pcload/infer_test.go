@@ -5,39 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
-
-	"repro/internal/api"
-	"repro/internal/service"
 )
-
-// newInferBackend serves /infer from a real service, mirroring
-// pcserved.
-func newInferBackend(t *testing.T) *httptest.Server {
-	t.Helper()
-	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /infer", func(w http.ResponseWriter, r *http.Request) {
-		var req api.InferRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := svc.Infer(r.Context(), req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
 
 func TestBuildInferItems(t *testing.T) {
 	items, err := buildInferItems("K8/pc,CD/pc", 18)
@@ -78,7 +49,7 @@ func TestBuildInferItems(t *testing.T) {
 }
 
 func TestRunInferAgainstBackend(t *testing.T) {
-	srv := newInferBackend(t)
+	srv := newNode(t)
 	var out bytes.Buffer
 	if err := runInfer(&out, srv.URL, "K8/pc", 18, 4); err != nil {
 		t.Fatalf("runInfer: %v\noutput:\n%s", err, out.String())
@@ -99,7 +70,7 @@ func TestRunInferAgainstBackend(t *testing.T) {
 // (three identical pairs) must include a planted pair, and the
 // report must show it flagged.
 func TestRunInferDefaultMixSixInfers(t *testing.T) {
-	srv := newInferBackend(t)
+	srv := newNode(t)
 	var out bytes.Buffer
 	if err := runInfer(&out, srv.URL, "K8/pc,K8/pm,CD/pc,CD/PHpm", 6, 2); err != nil {
 		t.Fatalf("runInfer: %v\noutput:\n%s", err, out.String())
@@ -110,13 +81,14 @@ func TestRunInferDefaultMixSixInfers(t *testing.T) {
 }
 
 // TestReportInferFailsOnEmptyDenominators guards against a verdict on
-// nothing: without a planted outcome, or without a clean one, the
-// report must fail rather than print 0/0 and pass.
+// nothing: without a planted outcome, a clean one, an interval, or an
+// answer compared with an earlier one, the report must fail rather than
+// print 0/0 and pass.
 func TestReportInferFailsOnEmptyDenominators(t *testing.T) {
-	ok := func(planted bool) inferOutcome {
+	ok := func(planted bool, events int) inferOutcome {
 		return inferOutcome{
 			reply:      reply{sent: []byte(fmt.Sprint(planted)), status: http.StatusOK, body: []byte("{}")},
-			consistent: !planted, wantFlag: planted, flagged: planted,
+			consistent: !planted, wantFlag: planted, flagged: planted, events: events,
 		}
 	}
 	for _, tc := range []struct {
@@ -124,9 +96,11 @@ func TestReportInferFailsOnEmptyDenominators(t *testing.T) {
 		results []inferOutcome
 		wantErr string
 	}{
-		{"no planted outcome", []inferOutcome{ok(false), ok(false)}, "planted inconsistency"},
-		{"no clean outcome", []inferOutcome{ok(true), ok(true)}, "clean check"},
+		{"no planted outcome", []inferOutcome{ok(false, 1), ok(false, 1)}, "planted inconsistency"},
+		{"no clean outcome", []inferOutcome{ok(true, 1), ok(true, 1)}, "clean check"},
 		{"no outcome", nil, "planted inconsistency"},
+		{"no interval", []inferOutcome{ok(false, 0), ok(false, 0), ok(true, 0), ok(true, 0)}, "posterior<=prior"},
+		{"no repeated answer", []inferOutcome{ok(false, 1), ok(true, 1)}, "compared nothing"},
 	} {
 		var out bytes.Buffer
 		err := reportInfer(&out, tc.results, time.Second)
@@ -135,8 +109,8 @@ func TestReportInferFailsOnEmptyDenominators(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	if err := reportInfer(&out, []inferOutcome{ok(false), ok(true)}, time.Second); err != nil {
-		t.Errorf("one clean and one planted outcome: %v\noutput:\n%s", err, out.String())
+	if err := reportInfer(&out, []inferOutcome{ok(false, 1), ok(false, 1), ok(true, 1), ok(true, 1)}, time.Second); err != nil {
+		t.Errorf("a clean and a planted pair: %v\noutput:\n%s", err, out.String())
 	}
 }
 

@@ -1,9 +1,18 @@
 package main
 
 import (
+	"strings"
 	"testing"
 	"time"
 )
+
+func TestReportLatencyLine(t *testing.T) {
+	d := []time.Duration{4 * time.Millisecond, 1 * time.Millisecond, 3 * time.Millisecond, 2 * time.Millisecond}
+	got := summarizeLatency(d).String()
+	if !strings.Contains(got, "p50=2ms") || !strings.Contains(got, "max=4ms") {
+		t.Errorf("summary = %q", got)
+	}
+}
 
 func TestLatencySummaryEmpty(t *testing.T) {
 	s := summarizeLatency(nil)

@@ -2,247 +2,116 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 
-	"repro/internal/api"
+	"repro/internal/campaign"
 	"repro/internal/monitor"
-	"repro/internal/service"
+	"repro/internal/server"
 )
 
-// newBackend serves /measure from a real service, mirroring pcserved's
-// wire behavior closely enough for the client.
-func newBackend(t *testing.T) *httptest.Server {
+// newNode serves one real pcserved node, its production route table
+// and wire behavior, on a test listener.
+func newNode(t *testing.T) *httptest.Server {
 	t.Helper()
-	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 9})
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /measure", func(w http.ResponseWriter, r *http.Request) {
-		var req api.MeasureRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := svc.Measure(r.Context(), req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
+	node := server.New(server.Config{
+		Workers:         2,
+		CalibrationRuns: 5,
+		Monitor:         monitor.Config{SweepInterval: -1},
+		Campaign:        campaign.Config{SweepInterval: -1},
 	})
-	mux.HandleFunc("POST /analyze", func(w http.ResponseWriter, r *http.Request) {
-		var req api.AnalyzeRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := svc.Analyze(r.Context(), req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
-	})
-	// Session routes, mirroring pcserved's wire behavior for the
-	// -monitor workload.
-	reg := monitor.NewRegistry(svc, monitor.Config{SweepInterval: -1})
-	t.Cleanup(reg.Close)
-	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, r *http.Request) {
-		var req api.SessionRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		sess, err := reg.Open(r.Context(), req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusCreated)
-		json.NewEncoder(w).Encode(api.SessionCreated{ID: sess.ID, Config: sess.Config()})
-	})
-	mux.HandleFunc("GET /sessions/{id}/stream", func(w http.ResponseWriter, r *http.Request) {
-		sess, err := reg.Get(r.PathValue("id"))
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusNotFound)
-			return
-		}
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		sess.Subscribe()
-		defer sess.Unsubscribe()
-		flusher := w.(http.Flusher)
-		i := 0
-		for {
-			lines, next, wait, done := sess.Events(i)
-			i = next
-			if len(lines) > 0 {
-				for _, line := range lines {
-					w.Write(line)
-					w.Write([]byte("\n"))
-				}
-				flusher.Flush()
-				continue
-			}
-			if done {
-				return
-			}
-			select {
-			case <-wait:
-			case <-r.Context().Done():
-				return
-			}
-		}
-	})
-	srv := httptest.NewServer(mux)
+	t.Cleanup(node.Close)
+	srv := httptest.NewServer(node.Handler())
 	t.Cleanup(srv.Close)
 	return srv
 }
 
-func TestBuildPlan(t *testing.T) {
-	plan, err := buildPlan("K8/pc,CD/PHpm", 40, 3, 4, true, false)
+func TestBuildMixedPlan(t *testing.T) {
+	items, err := buildMixedPlan("K8/pc,CD/pc", 16, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plan) != 40 {
-		t.Fatalf("plan size = %d, want 40", len(plan))
+	if len(items) != 16 {
+		t.Fatalf("items = %d, want 16", len(items))
 	}
-	colds := 0
-	for _, item := range plan {
-		if item.cold {
-			colds++
-		}
-		if strings.HasPrefix(item.req.Stack, "PH") && (item.req.Pattern == "rr" || item.req.Pattern == "ro") {
-			t.Errorf("PH stack assigned unsupported pattern %s", item.req.Pattern)
-		}
-		if !item.req.Calibrate {
-			t.Error("calibrate flag not propagated")
+	counts := make(map[string]int)
+	for _, it := range items {
+		counts[it.endpoint()]++
+	}
+	for _, ep := range []string{"/measure", "/analyze", "/plan", "/infer"} {
+		if counts[ep] != 4 {
+			t.Errorf("endpoint %s got %d items, want 4 (of %v)", ep, counts[ep], counts)
 		}
 	}
-	// Cold marks follow the server's calibration identity: one per
-	// distinct (config, pattern) pair in the plan. K8/pc cycles all
-	// four patterns; CD/PHpm's rr/ro are clamped to ar, leaving ar/ao.
-	if colds != 6 {
-		t.Errorf("cold requests = %d, want one per (config, pattern) = 6", colds)
-	}
-
-	if _, err := buildPlan("garbage", 10, 1, 1, false, false); err == nil {
+	if _, err := buildMixedPlan("garbage", 8, 2); err == nil {
 		t.Error("bad mix accepted")
 	}
 }
 
-func TestBuildPlanAnalyze(t *testing.T) {
-	plan, err := buildPlan("K8/pc", 8, 2, 4, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var duets, mpxs, samps int
-	for _, item := range plan {
-		if item.analyze == nil || len(item.analyze.Items) != 1 {
-			t.Fatalf("analyze plan item not wrapped: %+v", item)
-		}
-		ai := item.analyze.Items[0]
-		if ai.Duet != nil {
-			duets++
-		}
-		if ai.MpxCounters > 0 {
-			mpxs++
-		}
-		if ai.SamplingPeriod > 0 {
-			samps++
-		}
-	}
-	if duets == 0 || mpxs == 0 || samps == 0 {
-		t.Errorf("analyze rotation incomplete: duets=%d mpx=%d sampling=%d", duets, mpxs, samps)
-	}
-}
-
+// TestRunRejectsBadFlags checks the command line: exactly one mode, and
+// an error naming the modes otherwise.
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(&out, "http://x", "K8/pc", 4, 0, 1, 1, false, false); err == nil {
-		t.Error("-c 0 accepted; would hang forever")
-	}
-	if err := run(&out, "http://x", "K8/pc", 4, 2, 1, 0, false, false); err == nil {
-		t.Error("-seeds 0 accepted; would panic")
+	modes := "-engine, -plan, -infer, -campaign, -trace, -cluster"
+	for _, tc := range []struct {
+		args    []string
+		wantErr string
+	}{
+		{nil, modes},
+		{[]string{"-n", "4"}, modes},
+		{[]string{"-trace", "-cluster"}, modes},
+		{[]string{"-engine", "-c", "0"}, "-c must be positive"},
+		{[]string{"-calibrate"}, "flag provided but not defined"},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-addr", "http://127.0.0.1:1"}, tc.args...), &out)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("run %q: error %v, want one containing %q", tc.args, err, tc.wantErr)
+		}
 	}
 }
 
+// TestRunAgainstBackend runs every mode through the command line
+// against real nodes and a front. A real run passes and prints the
+// verdict line CI greps for; -plans and -infers round odd counts up to
+// identical pairs; and no verdict passes on nothing: a run that sends
+// nothing, or compares no answer with another, fails without printing
+// a passing verdict.
 func TestRunAgainstBackend(t *testing.T) {
-	srv := newBackend(t)
-	var out bytes.Buffer
-	if err := run(&out, srv.URL, "K8/pc,K8/pm,CD/pc,CD/PHpm", 32, 4, 2, 4, true, false); err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-	}
-	report := out.String()
-	for _, want := range []string{"throughput:", "latency:", "determinism:", "cold (", "warm ("} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
+	front, node, _ := newClusterFleet(t, 2)
+	for _, tc := range []struct {
+		addr    string
+		args    string
+		wantErr string // "" when the run must pass
+		want    string // a line the report must carry
+	}{
+		{node, "-engine -n 4", "", "conformance: 4 engine pairs"},
+		{node, "-engine -n 0", "compared nothing", ""},
+		{node, "-plan -plans 1", "", "plans:       2 (0 failed)"},
+		{node, "-plan -plans 0", "compared nothing", ""},
+		{node, "-infer -infers 5", "", "infers:      6 (0 failed)"},
+		{node, "-infer -infers 0", "ran on nothing", ""},
+		{node, "-campaign -campaigns 1 -programs 1", "", "campaigns:   2 (0 failed, 0 ended early)"},
+		{node, "-trace -n 4", "", "trace:       all pairs byte-identical"},
+		{node, "-trace -n 0", "ran on nothing", ""},
+		{front, "-trace -direct " + node + " -n 8", "", "stitching:"},
+		{front, "-trace -direct " + node + " -n 0", "ran on nothing", ""},
+		{front, "-cluster -direct " + node + " -n 0", "ran on nothing", ""},
+	} {
+		var out bytes.Buffer
+		err := run(append([]string{"-addr", tc.addr, "-mix", "K8/pc", "-c", "2"}, strings.Fields(tc.args)...), &out)
+		switch {
+		case tc.wantErr == "" && err != nil:
+			t.Errorf("pcload %s: %v\n%s", tc.args, err, out.String())
+		case tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)):
+			t.Errorf("pcload %s: error %v, want one containing %q\n%s", tc.args, err, tc.wantErr, out.String())
+		case !strings.Contains(out.String(), tc.want):
+			t.Errorf("pcload %s: report missing %q:\n%s", tc.args, tc.want, out.String())
 		}
-	}
-	if strings.Contains(report, "DETERMINISM VIOLATION") {
-		t.Errorf("determinism violation reported:\n%s", report)
-	}
-}
-
-func TestRunAnalyzeAgainstBackend(t *testing.T) {
-	srv := newBackend(t)
-	var out bytes.Buffer
-	// 16 requests cycle the full model rotation (plain, duet, mpx,
-	// sampling) on two shards; the determinism cross-check applies to
-	// /analyze bodies exactly as to /measure.
-	if err := run(&out, srv.URL, "K8/pc,CD/pc", 16, 4, 2, 4, false, true); err != nil {
-		t.Fatalf("run -analyze: %v\noutput:\n%s", err, out.String())
-	}
-	report := out.String()
-	if strings.Contains(report, "DETERMINISM VIOLATION") {
-		t.Errorf("determinism violation reported:\n%s", report)
-	}
-	if !strings.Contains(report, "determinism:") {
-		t.Errorf("report missing determinism line:\n%s", report)
-	}
-}
-
-func TestReportLatencyLine(t *testing.T) {
-	d := []time.Duration{4 * time.Millisecond, 1 * time.Millisecond, 3 * time.Millisecond, 2 * time.Millisecond}
-	got := summarizeLatency(d).String()
-	if !strings.Contains(got, "p50=2ms") || !strings.Contains(got, "max=4ms") {
-		t.Errorf("summary = %q", got)
-	}
-}
-
-func TestRunMonitorAgainstBackend(t *testing.T) {
-	srv := newBackend(t)
-	var out bytes.Buffer
-	// Four sessions = two identical pairs; the cross-check must see
-	// every pair stream the same series.
-	if err := runMonitor(&out, srv.URL, "K8/pc,CD/pc", 4, 24, 8, 2); err != nil {
-		t.Fatalf("runMonitor: %v\noutput:\n%s", err, out.String())
-	}
-	report := out.String()
-	for _, want := range []string{"sessions:    4 (0 failed, 0 ended early)", "samples:     96 streamed", "open:", "stream:", "determinism: 2 distinct configs"} {
-		if !strings.Contains(report, want) {
-			t.Errorf("report missing %q:\n%s", want, report)
+		for _, verdict := range []string{"determinism:", "conformance:", "trace:", "stitching:", "byte-identity:"} {
+			if tc.wantErr != "" && strings.Contains(out.String(), verdict) {
+				t.Errorf("pcload %s failed but printed a passing %q line:\n%s", tc.args, verdict, out.String())
+			}
 		}
-	}
-	if strings.Contains(report, "DETERMINISM VIOLATION") {
-		t.Errorf("determinism violation reported:\n%s", report)
-	}
-}
-
-func TestRunMonitorRejectsBadFlags(t *testing.T) {
-	var out bytes.Buffer
-	if err := runMonitor(&out, "http://x", "K8/pc", 4, 8, 4, 0); err == nil {
-		t.Error("-c 0 accepted; would hang forever")
-	}
-	if err := runMonitor(&out, "http://x", "K8/pc", 0, 8, 4, 2); err == nil {
-		t.Error("-sessions 0 accepted")
-	}
-	if err := runMonitor(&out, "http://x", "garbage", 2, 8, 4, 2); err == nil {
-		t.Error("bad mix accepted")
 	}
 }

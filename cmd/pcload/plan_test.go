@@ -3,40 +3,9 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/api"
-	"repro/internal/plan"
-	"repro/internal/service"
 )
-
-// newPlanBackend serves /plan from a real planner, mirroring pcserved.
-func newPlanBackend(t *testing.T) *httptest.Server {
-	t.Helper()
-	svc := service.New(service.Config{WorkersPerShard: 2, CalibrationRuns: 5})
-	planner := plan.New(svc)
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /plan", func(w http.ResponseWriter, r *http.Request) {
-		var req api.PlanRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		resp, err := planner.Do(r.Context(), req)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
-	})
-	srv := httptest.NewServer(mux)
-	t.Cleanup(srv.Close)
-	return srv
-}
 
 func TestBuildPlanPlans(t *testing.T) {
 	items, err := buildPlanPlans("K8/pc,CD/pc", 12)
@@ -74,7 +43,7 @@ func TestBuildPlanPlans(t *testing.T) {
 }
 
 func TestRunPlanAgainstBackend(t *testing.T) {
-	srv := newPlanBackend(t)
+	srv := newNode(t)
 	var out bytes.Buffer
 	if err := runPlan(&out, srv.URL, "K8/pc", 12, 4); err != nil {
 		t.Fatalf("runPlan: %v\noutput:\n%s", err, out.String())

@@ -21,8 +21,8 @@
 // series is a pure function of its normalized configuration (worker
 // Reset before sampling, seeds derived from the configured base), so
 // two sessions with identical configurations produce byte-identical
-// event lines — the property cmd/pcload's -monitor workload
-// cross-checks over live NDJSON streams.
+// event lines — the property the benchmark's correctness gate
+// (bench/) cross-checks over live NDJSON streams.
 package monitor
 
 import (

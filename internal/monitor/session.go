@@ -45,7 +45,7 @@ type Session struct {
 	// Log is the bounded NDJSON event log streams read from. Its
 	// retention covers two rings' worth of samples, so streams that
 	// attach while the full log is retained (any attach within Capacity
-	// samples of the start — pcload attaches immediately) replay the
+	// samples of the start — a streaming client always does) replay the
 	// complete series; later attaches replay the tail. It also carries
 	// the idle accounting the registry reads: a session nobody watches
 	// is idle from its last access even while its sampler still

@@ -136,7 +136,7 @@ func TestAnalyzeEndpoint(t *testing.T) {
 	}
 
 	// Byte-identical across repeated identical calls — the service
-	// contract pcload's cross-check relies on.
+	// contract the benchmark's correctness gate relies on.
 	status2, body2 := post(t, srv.URL+"/analyze", req)
 	if status2 != http.StatusOK || string(body) != string(body2) {
 		t.Errorf("repeated /analyze diverged (status %d)", status2)

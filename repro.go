@@ -50,7 +50,7 @@
 //
 // Command pcserved exposes this apparatus as a long-running JSON
 // service with sharded system pools, a calibration cache, and request
-// coalescing; cmd/pcload replays mixed workloads against it. See the
+// coalescing; bash bench/run.sh drives load against it. See the
 // repository README for wire examples.
 package repro
 
